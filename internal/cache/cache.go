@@ -1,8 +1,8 @@
 // Package cache implements the set-associative instruction cache model used
 // throughout the simulator: a configurable geometry with true-LRU
 // replacement, a per-line prefetched bit (PIF tags non-prefetched fetches to
-// gate index-table insertion), and a small MSHR file that bounds outstanding
-// fills.
+// gate index-table insertion), and a per-line prefetch completion cycle the
+// timing simulator charges partial stalls against.
 //
 // The model is behavioural, not cycle-accurate: Probe/Fill mutate state
 // immediately, and the timing simulator (internal/sim) accounts for
@@ -24,7 +24,9 @@ type Config struct {
 	Assoc int
 	// BlockBytes is the line size; must equal isa.BlockBytes for the L1-I.
 	BlockBytes int
-	// MSHRs bounds outstanding misses; 0 means unlimited.
+	// MSHRs is the miss-status register count Table I lists (0 means
+	// unlimited). It is descriptive: the behavioural model installs fills
+	// immediately and never bounds them by it.
 	MSHRs int
 }
 
@@ -49,11 +51,14 @@ func (c Config) Validate() error {
 // Sets returns the number of sets implied by the geometry.
 func (c Config) Sets() int { return c.SizeBytes / (c.Assoc * c.BlockBytes) }
 
-// line is one cache way.
+// line is one cache way: 16 bytes, so a 2-way set shares one CPU cache
+// line.
 type line struct {
-	tag        uint64
-	valid      bool
-	prefetched bool // filled by a prefetch and not yet demanded
+	tag uint64
+	// pending is 0 unless the line was filled by a prefetch and not yet
+	// demanded (the prefetched bit); then it is 1 + the cycle the
+	// prefetch completes.
+	pending uint64
 }
 
 // Stats counts cache events.
@@ -112,10 +117,10 @@ func (s *Stats) Sub(o Stats) {
 // Lines are identified by isa.Block numbers.
 type Cache struct {
 	cfg     Config
-	sets    [][]line // sets[i] ordered MRU..LRU
+	lines   []line  // sets×assoc ways; set i is lines[i*assoc:][:n[i]], MRU..LRU
+	n       []int32 // resident ways per set
 	setMask uint64
 	stats   Stats
-	mshr    map[isa.Block]struct{}
 }
 
 // New builds a cache; it panics on an invalid geometry (a configuration
@@ -124,15 +129,11 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	sets := make([][]line, cfg.Sets())
-	for i := range sets {
-		sets[i] = make([]line, 0, cfg.Assoc)
-	}
 	return &Cache{
 		cfg:     cfg,
-		sets:    sets,
+		lines:   make([]line, cfg.Sets()*cfg.Assoc),
+		n:       make([]int32, cfg.Sets()),
 		setMask: uint64(cfg.Sets() - 1),
-		mshr:    make(map[isa.Block]struct{}),
 	}
 }
 
@@ -145,12 +146,26 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the event counters (used after warmup).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-func (c *Cache) setIndex(b isa.Block) uint64 { return uint64(b) & c.setMask }
+// ClearReady zeroes every line's prefetch completion cycle, so that a
+// caller restarting its cycle counter sees every in-flight prefetch as
+// complete.
+func (c *Cache) ClearReady() {
+	for i := range c.lines {
+		c.lines[i].pending = min(c.lines[i].pending, 1)
+	}
+}
+
+// set returns the index of b's set and its resident ways, MRU first.
+func (c *Cache) set(b isa.Block) (int, []line) {
+	si := int(uint64(b) & c.setMask)
+	base := si * c.cfg.Assoc
+	return si, c.lines[base : base+int(c.n[si])]
+}
 
 // find returns the way index of b in its set, or -1.
-func (c *Cache) find(set []line, b isa.Block) int {
+func find(set []line, b isa.Block) int {
 	for i := range set {
-		if set[i].valid && set[i].tag == uint64(b) {
+		if set[i].tag == uint64(b) {
 			return i
 		}
 	}
@@ -160,7 +175,8 @@ func (c *Cache) find(set []line, b isa.Block) int {
 // Contains reports whether the block is resident without touching LRU
 // state or statistics (the tag probe prefetchers use before queuing).
 func (c *Cache) Contains(b isa.Block) bool {
-	return c.find(c.sets[c.setIndex(b)], b) >= 0
+	_, set := c.set(b)
+	return find(set, b) >= 0
 }
 
 // Access performs a demand access: on hit the line moves to MRU and the
@@ -168,21 +184,28 @@ func (c *Cache) Contains(b isa.Block) bool {
 // and when to Fill). It returns hit status and whether the hit line had
 // been brought in by a prefetch (a "prefetch hit").
 func (c *Cache) Access(b isa.Block) (hit, wasPrefetched bool) {
+	hit, wasPrefetched, _ = c.AccessReady(b)
+	return hit, wasPrefetched
+}
+
+// AccessReady is Access that also returns, on a prefetch hit, the
+// completion cycle FillPrefetch recorded for the line (0 otherwise).
+func (c *Cache) AccessReady(b isa.Block) (hit, wasPrefetched bool, ready uint64) {
 	c.stats.Accesses++
-	si := c.setIndex(b)
-	set := c.sets[si]
-	if i := c.find(set, b); i >= 0 {
-		wasPrefetched = set[i].prefetched
-		set[i].prefetched = false
-		c.moveToMRU(si, i)
-		c.stats.Hits++
-		if wasPrefetched {
-			c.stats.PrefetchHits++
-		}
-		return true, wasPrefetched
+	_, set := c.set(b)
+	i := find(set, b)
+	if i < 0 {
+		c.stats.Misses++
+		return false, false, 0
 	}
-	c.stats.Misses++
-	return false, false
+	if l := &set[i]; l.pending != 0 {
+		wasPrefetched, ready = true, l.pending-1
+		l.pending = 0
+		c.stats.PrefetchHits++
+	}
+	toMRU(set, i)
+	c.stats.Hits++
+	return true, wasPrefetched, ready
 }
 
 // Fill installs a block. prefetch marks the line as brought in by the
@@ -190,13 +213,23 @@ func (c *Cache) Access(b isa.Block) (hit, wasPrefetched bool) {
 // demand fills, clears the prefetched bit. The victim block (if any) is
 // returned so callers can model writeback/invalidation effects.
 func (c *Cache) Fill(b isa.Block, prefetch bool) (victim isa.Block, evicted bool) {
-	si := c.setIndex(b)
-	set := c.sets[si]
-	if i := c.find(set, b); i >= 0 {
+	return c.fill(b, prefetch, 0)
+}
+
+// FillPrefetch is Fill(b, true) that also records ready, the cycle the
+// prefetch completes, on a newly installed line; AccessReady returns it
+// on the line's first demand hit.
+func (c *Cache) FillPrefetch(b isa.Block, ready uint64) (victim isa.Block, evicted bool) {
+	return c.fill(b, true, ready)
+}
+
+func (c *Cache) fill(b isa.Block, prefetch bool, ready uint64) (victim isa.Block, evicted bool) {
+	si, set := c.set(b)
+	if i := find(set, b); i >= 0 {
 		if !prefetch {
-			set[i].prefetched = false
+			set[i].pending = 0
 		}
-		c.moveToMRU(si, i)
+		toMRU(set, i)
 		return 0, false
 	}
 	if prefetch {
@@ -204,25 +237,28 @@ func (c *Cache) Fill(b isa.Block, prefetch bool) (victim isa.Block, evicted bool
 	} else {
 		c.stats.DemandFills++
 	}
-	nl := line{tag: uint64(b), valid: true, prefetched: prefetch}
 	if len(set) < c.cfg.Assoc {
-		c.sets[si] = append([]line{nl}, set...)
-		return 0, false
-	}
-	// Evict LRU (last element).
-	v := set[len(set)-1]
-	c.stats.Evictions++
-	if v.prefetched {
-		c.stats.PrefetchUnused++
+		c.n[si]++
+		set = set[:len(set)+1]
+	} else {
+		// Evict LRU (last way).
+		v := set[len(set)-1]
+		c.stats.Evictions++
+		if v.pending != 0 {
+			c.stats.PrefetchUnused++
+		}
+		victim, evicted = isa.Block(v.tag), true
 	}
 	copy(set[1:], set[:len(set)-1])
-	set[0] = nl
-	return isa.Block(v.tag), true
+	set[0] = line{tag: uint64(b)}
+	if prefetch {
+		set[0].pending = ready + 1
+	}
+	return victim, evicted
 }
 
-// moveToMRU promotes set[i] to the MRU position.
-func (c *Cache) moveToMRU(si uint64, i int) {
-	set := c.sets[si]
+// toMRU promotes set[i] to the MRU position.
+func toMRU(set []line, i int) {
 	if i == 0 {
 		return
 	}
@@ -233,54 +269,24 @@ func (c *Cache) moveToMRU(si uint64, i int) {
 
 // Invalidate removes a block if present, returning whether it was resident.
 func (c *Cache) Invalidate(b isa.Block) bool {
-	si := c.setIndex(b)
-	set := c.sets[si]
-	i := c.find(set, b)
+	si, set := c.set(b)
+	i := find(set, b)
 	if i < 0 {
 		return false
 	}
-	c.sets[si] = append(set[:i], set[i+1:]...)
+	copy(set[i:], set[i+1:])
+	c.n[si]--
 	return true
 }
 
 // Flush empties the cache (statistics are preserved).
-func (c *Cache) Flush() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
-	}
-}
+func (c *Cache) Flush() { clear(c.n) }
 
 // Resident returns the number of valid lines.
 func (c *Cache) Resident() int {
 	n := 0
-	for i := range c.sets {
-		n += len(c.sets[i])
+	for _, k := range c.n {
+		n += int(k)
 	}
 	return n
 }
-
-// MSHRAcquire reserves a miss-status register for block b. It returns false
-// when all MSHRs are busy or when a fill for b is already outstanding
-// (secondary misses merge and do not need a new register).
-func (c *Cache) MSHRAcquire(b isa.Block) bool {
-	if _, outstanding := c.mshr[b]; outstanding {
-		return false
-	}
-	if c.cfg.MSHRs > 0 && len(c.mshr) >= c.cfg.MSHRs {
-		return false
-	}
-	c.mshr[b] = struct{}{}
-	return true
-}
-
-// MSHROutstanding reports whether a fill for b is in flight.
-func (c *Cache) MSHROutstanding(b isa.Block) bool {
-	_, ok := c.mshr[b]
-	return ok
-}
-
-// MSHRRelease completes the outstanding fill for b.
-func (c *Cache) MSHRRelease(b isa.Block) { delete(c.mshr, b) }
-
-// MSHRInUse returns the number of busy MSHRs.
-func (c *Cache) MSHRInUse() int { return len(c.mshr) }

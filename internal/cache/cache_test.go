@@ -173,42 +173,210 @@ func TestResetStats(t *testing.T) {
 	}
 }
 
-func TestMSHR(t *testing.T) {
-	cfg := l1Config()
-	cfg.MSHRs = 2
-	c := New(cfg)
-	if !c.MSHRAcquire(isa.Block(1)) {
-		t.Fatal("first acquire should succeed")
+func TestPrefetchReadyCycle(t *testing.T) {
+	c := New(l1Config())
+	b := isa.Block(11)
+	c.FillPrefetch(b, 500)
+	if hit, pf, ready := c.AccessReady(b); !hit || !pf || ready != 500 {
+		t.Fatalf("first demand hit: hit=%v pf=%v ready=%d, want true,true,500", hit, pf, ready)
 	}
-	if c.MSHRAcquire(isa.Block(1)) {
-		t.Error("duplicate acquire should merge (fail)")
+	// Only the first demand hit of a prefetched line carries its cycle.
+	if _, pf, ready := c.AccessReady(b); pf || ready != 0 {
+		t.Errorf("second demand hit: pf=%v ready=%d, want false,0", pf, ready)
 	}
-	if !c.MSHROutstanding(isa.Block(1)) {
-		t.Error("block 1 should be outstanding")
+	// A demand fill carries no cycle.
+	c.Fill(isa.Block(12), false)
+	if _, _, ready := c.AccessReady(isa.Block(12)); ready != 0 {
+		t.Errorf("demand-filled line ready = %d, want 0", ready)
 	}
-	if !c.MSHRAcquire(isa.Block(2)) {
-		t.Fatal("second acquire should succeed")
-	}
-	if c.MSHRAcquire(isa.Block(3)) {
-		t.Error("third acquire should fail: MSHRs exhausted")
-	}
-	c.MSHRRelease(isa.Block(1))
-	if c.MSHRInUse() != 1 {
-		t.Errorf("MSHRInUse = %d, want 1", c.MSHRInUse())
-	}
-	if !c.MSHRAcquire(isa.Block(3)) {
-		t.Error("acquire after release should succeed")
+	// ClearReady zeroes the cycle but keeps the prefetched bit.
+	c.FillPrefetch(isa.Block(13), 900)
+	c.ClearReady()
+	if hit, pf, ready := c.AccessReady(isa.Block(13)); !hit || !pf || ready != 0 {
+		t.Errorf("after ClearReady: hit=%v pf=%v ready=%d, want true,true,0", hit, pf, ready)
 	}
 }
 
-func TestMSHRUnlimited(t *testing.T) {
-	cfg := l1Config()
-	cfg.MSHRs = 0
-	c := New(cfg)
-	for i := 0; i < 1000; i++ {
-		if !c.MSHRAcquire(isa.Block(i)) {
-			t.Fatalf("unlimited MSHR acquire %d failed", i)
+// refCache is a set-of-slices LRU model: the cache's behaviour before its
+// sets were flattened into one array.
+type refLine struct {
+	tag        uint64
+	ready      uint64
+	prefetched bool
+}
+
+type refCache struct {
+	sets  [][]refLine
+	assoc int
+	stats Stats
+}
+
+func (r *refCache) find(set []refLine, b isa.Block) int {
+	for i := range set {
+		if set[i].tag == uint64(b) {
+			return i
 		}
+	}
+	return -1
+}
+
+func (r *refCache) toMRU(si, i int) {
+	set := r.sets[si]
+	l := set[i]
+	copy(set[1:i+1], set[:i])
+	set[0] = l
+}
+
+func (r *refCache) access(b isa.Block) (hit, pf bool, ready uint64) {
+	r.stats.Accesses++
+	si := int(uint64(b)) % len(r.sets)
+	i := r.find(r.sets[si], b)
+	if i < 0 {
+		r.stats.Misses++
+		return false, false, 0
+	}
+	l := &r.sets[si][i]
+	if l.prefetched {
+		pf, ready = true, l.ready
+		r.stats.PrefetchHits++
+	}
+	l.prefetched = false
+	r.toMRU(si, i)
+	r.stats.Hits++
+	return true, pf, ready
+}
+
+func (r *refCache) fill(b isa.Block, prefetch bool, ready uint64) (isa.Block, bool) {
+	si := int(uint64(b)) % len(r.sets)
+	set := r.sets[si]
+	if i := r.find(set, b); i >= 0 {
+		if !prefetch {
+			set[i].prefetched = false
+		}
+		r.toMRU(si, i)
+		return 0, false
+	}
+	if prefetch {
+		r.stats.PrefetchFills++
+	} else {
+		r.stats.DemandFills++
+	}
+	nl := refLine{tag: uint64(b), ready: ready, prefetched: prefetch}
+	if len(set) < r.assoc {
+		r.sets[si] = append([]refLine{nl}, set...)
+		return 0, false
+	}
+	v := set[len(set)-1]
+	r.stats.Evictions++
+	if v.prefetched {
+		r.stats.PrefetchUnused++
+	}
+	copy(set[1:], set[:len(set)-1])
+	set[0] = nl
+	return isa.Block(v.tag), true
+}
+
+func (r *refCache) invalidate(b isa.Block) bool {
+	si := int(uint64(b)) % len(r.sets)
+	i := r.find(r.sets[si], b)
+	if i < 0 {
+		return false
+	}
+	r.sets[si] = append(r.sets[si][:i], r.sets[si][i+1:]...)
+	return true
+}
+
+func (r *refCache) resident() int {
+	n := 0
+	for _, set := range r.sets {
+		n += len(set)
+	}
+	return n
+}
+
+// TestFlatSetsMatchReference drives the cache and the set-of-slices model
+// through the same seeded mix of accesses, fills, prefetch fills,
+// invalidations, ready-cycle clears and flushes, and requires identical results, victims,
+// residency and statistics at every step.
+func TestFlatSetsMatchReference(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 1 * 64 * 4, Assoc: 1, BlockBytes: 64},
+		{SizeBytes: 2 * 64 * 8, Assoc: 2, BlockBytes: 64},
+		{SizeBytes: 4 * 64 * 4, Assoc: 4, BlockBytes: 64},
+	} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c := New(cfg)
+			ref := &refCache{sets: make([][]refLine, cfg.Sets()), assoc: cfg.Assoc}
+			for step := 0; step < 2000; step++ {
+				b := isa.Block(rng.Intn(8 * cfg.Sets() * cfg.Assoc))
+				switch op := rng.Intn(20); {
+				case op < 8:
+					h, p, r := c.AccessReady(b)
+					wh, wp, wr := ref.access(b)
+					if h != wh || p != wp || r != wr {
+						t.Fatalf("%+v seed %d step %d: AccessReady(%d) = %v,%v,%d, want %v,%v,%d",
+							cfg, seed, step, b, h, p, r, wh, wp, wr)
+					}
+				case op < 16:
+					prefetch := op%2 == 0
+					var ready uint64
+					if prefetch {
+						ready = uint64(rng.Intn(1000))
+					}
+					v, e := c.fill(b, prefetch, ready)
+					wv, we := ref.fill(b, prefetch, ready)
+					if v != wv || e != we {
+						t.Fatalf("%+v seed %d step %d: fill(%d) victim %d,%v, want %d,%v",
+							cfg, seed, step, b, v, e, wv, we)
+					}
+				case op < 19:
+					if got, want := c.Invalidate(b), ref.invalidate(b); got != want {
+						t.Fatalf("%+v seed %d step %d: Invalidate(%d) = %v, want %v", cfg, seed, step, b, got, want)
+					}
+				default:
+					switch rng.Intn(10) {
+					case 0:
+						c.ClearReady()
+						for _, set := range ref.sets {
+							for i := range set {
+								set[i].ready = 0
+							}
+						}
+					case 1:
+						c.Flush()
+						for i := range ref.sets {
+							ref.sets[i] = ref.sets[i][:0]
+						}
+					}
+				}
+				if c.Resident() != ref.resident() {
+					t.Fatalf("%+v seed %d step %d: Resident = %d, want %d", cfg, seed, step, c.Resident(), ref.resident())
+				}
+				if got := c.Contains(b); got != (ref.find(ref.sets[int(uint64(b))%len(ref.sets)], b) >= 0) {
+					t.Fatalf("%+v seed %d step %d: Contains(%d) = %v", cfg, seed, step, b, got)
+				}
+			}
+			if c.Stats() != ref.stats {
+				t.Fatalf("%+v seed %d: stats %+v, want %+v", cfg, seed, c.Stats(), ref.stats)
+			}
+		}
+	}
+}
+
+// TestFillAllocationFree pins the flat set layout: warming an empty cache
+// to full occupancy and evicting from it allocates nothing.
+func TestFillAllocationFree(t *testing.T) {
+	c := New(l1Config())
+	lines := c.Config().Sets() * c.Config().Assoc
+	allocs := testing.AllocsPerRun(5, func() {
+		c.Flush()
+		for i := 0; i < 2*lines; i++ {
+			c.Fill(isa.Block(i), i%3 == 0)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per warm-up of %d fills, want 0", allocs, 2*lines)
 	}
 }
 

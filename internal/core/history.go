@@ -48,18 +48,27 @@ type indexEntry struct {
 	pos     uint64
 	prev    int
 	next    int
-	valid   bool
+}
+
+// indexSlot is one bucket of the index's open-addressed lookup: the
+// trigger and 1 + its entry number (0 marks an empty bucket).
+type indexSlot struct {
+	trigger isa.Block
+	entry   int32
 }
 
 // IndexTable maps a trigger block to the history position of its most
 // recent record (Section 4.2). It is a bounded cache-like structure with
-// LRU replacement, implemented as a map plus an intrusive doubly-linked
-// LRU list over a fixed entry pool.
+// LRU replacement: a fixed entry pool threaded by an intrusive
+// doubly-linked LRU list, found through a fixed open-addressed table of
+// at least twice the capacity (linear probing, backward-shift delete), so
+// no operation hashes through a Go map or allocates.
 type IndexTable struct {
 	entries []indexEntry
-	lookup  map[isa.Block]int
-	head    int // MRU
-	tailIdx int // LRU
+	slots   []indexSlot
+	shift   uint // 64 - log2(len(slots))
+	head    int  // MRU
+	tailIdx int  // LRU
 	used    int
 }
 
@@ -68,13 +77,55 @@ func NewIndexTable(capacity int) *IndexTable {
 	if capacity < 1 {
 		capacity = 1
 	}
-	t := &IndexTable{
+	bits := uint(1)
+	for 1<<bits < 2*capacity {
+		bits++
+	}
+	return &IndexTable{
 		entries: make([]indexEntry, capacity),
-		lookup:  make(map[isa.Block]int, capacity),
+		slots:   make([]indexSlot, 1<<bits),
+		shift:   64 - bits,
 		head:    -1,
 		tailIdx: -1,
 	}
-	return t
+}
+
+// home returns the bucket trigger hashes to (Fibonacci hashing).
+func (t *IndexTable) home(trigger isa.Block) int {
+	return int((uint64(trigger) * 0x9e3779b97f4a7c15) >> t.shift)
+}
+
+// find returns the bucket holding trigger, or the empty bucket that ends
+// its probe sequence.
+func (t *IndexTable) find(trigger isa.Block) int {
+	mask := len(t.slots) - 1
+	i := t.home(trigger)
+	for t.slots[i].entry != 0 && t.slots[i].trigger != trigger {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// lookup returns the entry number mapped to trigger.
+func (t *IndexTable) lookup(trigger isa.Block) (int, bool) {
+	s := t.slots[t.find(trigger)]
+	return int(s.entry) - 1, s.entry != 0
+}
+
+// remove deletes trigger's bucket, shifting later members of the probe
+// run back so no lookup ever stops early at the hole.
+func (t *IndexTable) remove(trigger isa.Block) {
+	mask := len(t.slots) - 1
+	hole := t.find(trigger)
+	for j := (hole + 1) & mask; t.slots[j].entry != 0; j = (j + 1) & mask {
+		// Bucket j may fill the hole when its home is no further along
+		// the probe run than the hole is.
+		if (j-t.home(t.slots[j].trigger))&mask >= (j-hole)&mask {
+			t.slots[hole] = t.slots[j]
+			hole = j
+		}
+	}
+	t.slots[hole] = indexSlot{}
 }
 
 // Cap returns the entry capacity.
@@ -115,7 +166,7 @@ func (t *IndexTable) pushFront(i int) {
 
 // Put maps trigger to pos, updating an existing entry or evicting the LRU.
 func (t *IndexTable) Put(trigger isa.Block, pos uint64) {
-	if i, ok := t.lookup[trigger]; ok {
+	if i, ok := t.lookup(trigger); ok {
 		t.entries[i].pos = pos
 		t.unlink(i)
 		t.pushFront(i)
@@ -127,22 +178,28 @@ func (t *IndexTable) Put(trigger isa.Block, pos uint64) {
 		t.used++
 	} else {
 		i = t.tailIdx
-		delete(t.lookup, t.entries[i].trigger)
+		t.remove(t.entries[i].trigger)
 		t.unlink(i)
 	}
-	t.entries[i] = indexEntry{trigger: trigger, pos: pos, prev: -1, next: -1, valid: true}
-	t.lookup[trigger] = i
+	t.entries[i] = indexEntry{trigger: trigger, pos: pos, prev: -1, next: -1}
+	t.slots[t.find(trigger)] = indexSlot{trigger: trigger, entry: int32(i + 1)}
 	t.pushFront(i)
 }
 
 // Get returns the most recent history position recorded for trigger and
 // promotes the entry to MRU.
 func (t *IndexTable) Get(trigger isa.Block) (uint64, bool) {
-	i, ok := t.lookup[trigger]
+	i, ok := t.lookup(trigger)
 	if !ok {
 		return 0, false
 	}
 	t.unlink(i)
 	t.pushFront(i)
 	return t.entries[i].pos, true
+}
+
+// Has reports whether trigger has an entry, without promoting it.
+func (t *IndexTable) Has(trigger isa.Block) bool {
+	_, ok := t.lookup(trigger)
+	return ok
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -160,5 +161,95 @@ func TestIndexTableLatestWins(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// lruModel is the reference the index table must match: a map from
+// trigger to position plus an explicit recency order, MRU first.
+type lruModel struct {
+	cap   int
+	pos   map[isa.Block]uint64
+	order []isa.Block
+}
+
+func (m *lruModel) touch(k isa.Block) {
+	for i, o := range m.order {
+		if o == k {
+			m.order = append(m.order[:i], m.order[i+1:]...)
+			break
+		}
+	}
+	m.order = append([]isa.Block{k}, m.order...)
+}
+
+func (m *lruModel) put(k isa.Block, pos uint64) {
+	if _, ok := m.pos[k]; !ok && len(m.pos) == m.cap {
+		lru := m.order[len(m.order)-1]
+		m.order = m.order[:len(m.order)-1]
+		delete(m.pos, lru)
+	}
+	m.pos[k] = pos
+	m.touch(k)
+}
+
+func (m *lruModel) get(k isa.Block) (uint64, bool) {
+	pos, ok := m.pos[k]
+	if ok {
+		m.touch(k)
+	}
+	return pos, ok
+}
+
+// TestIndexTableMatchesLRUModel runs seeded random Put/Get/Has sequences
+// against the map-plus-LRU model at capacities from 1 to non-powers of
+// two, with key pools small enough that most Puts evict (exercising the
+// open-addressed table's backward-shift delete) and keys spread over the
+// whole block space, clustered, and strided.
+func TestIndexTableMatchesLRUModel(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 7, 16, 100} {
+		for seed := int64(1); seed <= 10; seed++ {
+			rng := rand.New(rand.NewSource(seed*1000 + int64(capacity)))
+			pool := make([]isa.Block, 3*capacity+2)
+			for i := range pool {
+				switch i % 3 {
+				case 0:
+					pool[i] = isa.Block(rng.Uint64())
+				case 1:
+					pool[i] = isa.Block(0x4000 + i)
+				default:
+					pool[i] = isa.Block(i) << 32
+				}
+			}
+			idx := NewIndexTable(capacity)
+			ref := &lruModel{cap: capacity, pos: map[isa.Block]uint64{}}
+			for step := 0; step < 3000; step++ {
+				k := pool[rng.Intn(len(pool))]
+				switch rng.Intn(3) {
+				case 0:
+					idx.Put(k, uint64(step))
+					ref.put(k, uint64(step))
+				case 1:
+					got, ok := idx.Get(k)
+					want, wok := ref.get(k)
+					if got != want || ok != wok {
+						t.Fatalf("cap %d seed %d step %d: Get(%#x) = %d,%v, want %d,%v",
+							capacity, seed, step, uint64(k), got, ok, want, wok)
+					}
+				default:
+					if _, want := ref.pos[k]; idx.Has(k) != want {
+						t.Fatalf("cap %d seed %d step %d: Has(%#x) = %v, want %v",
+							capacity, seed, step, uint64(k), !want, want)
+					}
+				}
+				if idx.Len() != len(ref.pos) {
+					t.Fatalf("cap %d seed %d step %d: Len = %d, want %d", capacity, seed, step, idx.Len(), len(ref.pos))
+				}
+			}
+			for _, k := range pool {
+				if _, want := ref.pos[k]; idx.Has(k) != want {
+					t.Fatalf("cap %d seed %d: final Has(%#x) = %v, want %v", capacity, seed, uint64(k), !want, want)
+				}
+			}
+		}
 	}
 }

@@ -258,3 +258,42 @@ func TestPIFNewPanicsOnBadConfig(t *testing.T) {
 	}()
 	New(Config{})
 }
+
+// residentIssuer reports every block resident, so SABs load their windows
+// without issuing anything.
+type residentIssuer struct{}
+
+func (residentIssuer) Contains(isa.Block) bool { return true }
+func (residentIssuer) Prefetch(isa.Block)      {}
+
+// TestSABAllocateKeepsWindow: reopening a stream on a SAB reuses its
+// region window's backing array, so replacing streams does not allocate
+// once every SAB has held a full window.
+func TestSABAllocateKeepsWindow(t *testing.T) {
+	g := DefaultGeometry()
+	hist := NewHistoryBuffer(256)
+	for i := 0; i < 256; i++ {
+		hist.Append(NewRegion(g, isa.Block(i*g.Size()), isa.TL0, true))
+	}
+	f := newSABFile(4, 7, g)
+	var iss residentIssuer
+	stream := func(pos uint64) {
+		f.allocate(pos, hist, iss)
+		for k := 0; k < 10; k++ { // walk the window to its full size
+			f.advance(isa.Block((int(pos)+k)*g.Size()), hist, iss)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		stream(uint64(i * 16))
+	}
+	pos := uint64(0)
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 8; i++ {
+			stream(pos % 200)
+			pos += 16
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per 8 stream replacements, want 0", allocs)
+	}
+}

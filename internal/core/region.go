@@ -91,10 +91,12 @@ func (r *Region) Set(g Geometry, b isa.Block) bool {
 	return true
 }
 
-// Has reports whether block b is marked accessed.
+// Has reports whether block b is marked accessed. It is BitFor folded
+// into one unsigned compare: blocks before the region wrap to huge
+// positions.
 func (r Region) Has(g Geometry, b isa.Block) bool {
-	bit, ok := g.BitFor(r.Trigger, b)
-	return ok && r.Bits&(1<<uint(bit)) != 0
+	bit := uint64(b) - uint64(r.Trigger) + uint64(g.Prec)
+	return bit < uint64(g.Size()) && r.Bits&(1<<bit) != 0
 }
 
 // SubsetOf reports whether every block of r is also in s (same trigger).

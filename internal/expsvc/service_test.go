@@ -226,6 +226,65 @@ func TestServiceCrashRestart(t *testing.T) {
 	}
 }
 
+// TestServiceRunTimestamps: a finished run records when it started and
+// when it finished as two distinct instants. The run is held at the
+// running hook so the two are necessarily apart, and both the live status
+// and the persisted exprun.json must show StartedAt before FinishedAt.
+func TestServiceRunTimestamps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("service tests run simulations; skipped in -short mode")
+	}
+	dir := t.TempDir()
+	entered := make(chan string, 1)
+	release := make(chan struct{})
+	svc, err := New(Config{
+		DBDir:    dir,
+		Parallel: 2,
+		hookRunning: func(id string) {
+			entered <- id
+			<-release
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	st, err := svc.Submit(testRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("run never reached the running state")
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	fin := waitTerminal(t, svc, st.ID)
+	if fin.State != StateDone {
+		t.Fatalf("state = %s (error %q), want %s", fin.State, fin.Error, StateDone)
+	}
+	rec, err := svc.db.LoadRecord(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		where             string
+		started, finished *time.Time
+	}{
+		{"status", fin.StartedAt, fin.FinishedAt},
+		{"exprun.json", rec.StartedAt, rec.FinishedAt},
+	} {
+		if c.started == nil || c.finished == nil {
+			t.Fatalf("%s: timing not recorded: started %v finished %v", c.where, c.started, c.finished)
+		}
+		if !c.started.Before(*c.finished) {
+			t.Errorf("%s: started_at %s not before finished_at %s", c.where, c.started, c.finished)
+		}
+	}
+}
+
 // TestServiceRecoveryGivesUp: an interrupted run whose attempt budget is
 // already spent is marked failed at recovery, not requeued into a crash
 // loop, and the failure is persisted.

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/prefetch"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -41,8 +42,9 @@ func BenchmarkReplayJob(b *testing.B) {
 // simulator's working structures are warm, Step must not allocate — no
 // issuer boxing, no access-callback closure, no per-record buffers.
 // Engines that intentionally grow unbounded metadata (TIFS's miss
-// history) are excluded; the baselines here cover the frontend, cache,
-// polluter, and prefetch per-access paths.
+// history) are excluded; the baselines and PIF here cover the frontend,
+// cache, polluter, and prefetch per-access paths, PIF's index table and
+// SAB windows included.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	wl := workload.OLTPDB2()
 	cfg := replayConfig()
@@ -59,6 +61,7 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	for _, pf := range []prefetch.Prefetcher{
 		prefetch.None{},
 		prefetch.NewNextLine(4),
+		core.New(core.DefaultConfig()),
 	} {
 		s := New(cfg, pf, wl.Seed)
 		for _, r := range stream { // warm caches, maps, predictor state

@@ -113,8 +113,7 @@ type Simulator struct {
 
 	instrs     uint64
 	stall      uint64
-	everFilled map[isa.Block]struct{} // L2-resident approximation
-	readyAt    map[isa.Block]uint64   // in-flight prefetch completion times
+	everFilled blockSet // L2-resident approximation
 	polluter   *cache.Polluter
 
 	correctAccesses uint64
@@ -151,8 +150,6 @@ func New(cfg Config, pf prefetch.Prefetcher, feSeed int64) *Simulator {
 		l1:         cache.New(cfg.System.L1I()),
 		fe:         frontend.New(cfg.System.Frontend(feSeed)),
 		pf:         pf,
-		everFilled: make(map[isa.Block]struct{}, 1<<16),
-		readyAt:    make(map[isa.Block]uint64, 1<<10),
 		lastTagged: true,
 		polluter: cache.NewPolluter(
 			cfg.System.CtxSwitchEveryInstrs, cfg.System.CtxSwitchBlocks, feSeed^0x706f6c),
@@ -174,7 +171,7 @@ func (s *Simulator) now() uint64 {
 // touched blocks (the multi-megabyte working set is L2 resident), memory
 // for cold blocks.
 func (s *Simulator) fillLatency(b isa.Block) uint64 {
-	if _, ok := s.everFilled[b]; ok {
+	if s.everFilled.has(b) {
 		return uint64(s.cfg.System.L2HitCycles)
 	}
 	return uint64(s.cfg.System.MemCycles())
@@ -187,23 +184,22 @@ type issuer struct{ s *Simulator }
 func (i issuer) Contains(b isa.Block) bool { return i.s.l1.Contains(b) }
 
 // Prefetch implements prefetch.Issuer: the block is installed immediately
-// (behavioral) with a completion time used to charge partial stalls when
-// demand arrives before the fill.
+// (behavioral) with a completion time, kept on the cache line, used to
+// charge partial stalls when demand arrives before the fill.
 func (i issuer) Prefetch(b isa.Block) {
 	s := i.s
 	if s.l1.Contains(b) {
 		return
 	}
 	lat := s.fillLatency(b)
-	s.l1.Fill(b, true)
-	s.everFilled[b] = struct{}{}
-	s.readyAt[b] = s.now() + lat
+	s.l1.FillPrefetch(b, s.now()+lat)
+	s.everFilled.add(b)
 	s.prefIssued++
 }
 
 // access processes one front-end access.
 func (s *Simulator) access(a frontend.Access) {
-	hit, wasPrefetched := s.l1.Access(a.Block)
+	hit, wasPrefetched, ready := s.l1.AccessReady(a.Block)
 
 	if !a.WrongPath {
 		s.correctAccesses++
@@ -224,22 +220,16 @@ func (s *Simulator) access(a frontend.Access) {
 	if !s.cfg.PerfectL1 && !a.WrongPath {
 		if !hit {
 			s.stall += s.fillLatency(a.Block)
-		} else if wasPrefetched {
-			if ready, ok := s.readyAt[a.Block]; ok {
-				if now := s.now(); ready > now {
-					s.stall += ready - now // prefetch in flight: partial stall
-				}
+		} else if ready != 0 { // a prefetch hit's completion cycle
+			if now := s.now(); ready > now {
+				s.stall += ready - now // prefetch in flight: partial stall
 			}
 		}
-	}
-	if hit {
-		delete(s.readyAt, a.Block)
 	}
 
 	if !hit {
 		s.l1.Fill(a.Block, false)
-		s.everFilled[a.Block] = struct{}{}
-		delete(s.readyAt, a.Block)
+		s.everFilled.add(a.Block)
 	}
 
 	s.pf.OnAccess(prefetch.AccessEvent{
@@ -264,7 +254,7 @@ func (s *Simulator) Step(r trace.Record) {
 // are considered complete at the measurement boundary.
 func (s *Simulator) resetStats() {
 	s.l1.ResetStats()
-	clear(s.readyAt)
+	s.l1.ClearReady()
 	s.instrs = 0
 	s.stall = 0
 	s.correctAccesses = 0
