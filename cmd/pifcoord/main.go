@@ -11,7 +11,8 @@
 //	pifcoord -listen :8077 -auth-token SECRET
 //
 // With -results DIR every accepted result is additionally persisted as it
-// lands, to DIR/<run-id>/jobs/<key>.json in the same schema-versioned,
+// lands — one file per simulation, a job's lanes included — to
+// DIR/<run-id>/jobs/<key>.json in the same schema-versioned,
 // atomically-written format as the experiments CLI's per-job store: a
 // coordinator killed mid-sweep leaves only complete job files behind. Keys
 // are sequence-prefixed sanitized job labels, so files sort in completion
@@ -162,20 +163,27 @@ func (s *resultStore) write(sr storedResult) error {
 		// completed simulation; record it beside the salvage data instead.
 		return s.writeFailure(sr)
 	}
-	s.mu.Lock()
-	s.seq[sr.runID]++
-	n := s.seq[sr.runID]
-	s.mu.Unlock()
-	key := fmt.Sprintf("r%04d-%s", n, jobKeyStem(sr.res.Label))
-	j, err := report.NewJobResult(key, sr.res.Label, nil, sr.res.Sim)
-	if err != nil {
-		return err
-	}
 	dir := report.JobsDir(filepath.Join(s.dir, sr.runID))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return report.WriteJobResult(filepath.Join(dir, key+".json"), j)
+	// One file per simulation: a job's lanes are cells of their own.
+	lanes := append([]remote.WireLane{{Label: sr.res.Label, Sim: sr.res.Sim}}, sr.res.Lanes...)
+	for _, l := range lanes {
+		s.mu.Lock()
+		s.seq[sr.runID]++
+		n := s.seq[sr.runID]
+		s.mu.Unlock()
+		key := fmt.Sprintf("r%04d-%s", n, jobKeyStem(l.Label))
+		j, err := report.NewJobResult(key, l.Label, nil, l.Sim)
+		if err != nil {
+			return err
+		}
+		if err := report.WriteJobResult(filepath.Join(dir, key+".json"), j); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeFailure appends a failed task's wire result as one JSON line to

@@ -5,8 +5,15 @@ import "repro/internal/isa"
 // HistoryBuffer is the circular FIFO of spatial region records
 // (Section 4.2). Positions are absolute (monotonically increasing), so a
 // stale index entry whose record has been overwritten is detectable.
+//
+// The buffer grows on demand: it appends until it holds capacity
+// records and only then starts to wrap, so an "unlimited" history costs
+// memory in proportion to what is recorded, not to its capacity. Record
+// placement is pos % capacity either way, so results are the same as a
+// buffer allocated whole up front.
 type HistoryBuffer struct {
 	buf  []Region
+	cap  int
 	tail uint64 // absolute position of the next append
 }
 
@@ -16,30 +23,55 @@ func NewHistoryBuffer(capacity int) *HistoryBuffer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &HistoryBuffer{buf: make([]Region, capacity)}
+	return &HistoryBuffer{cap: capacity}
 }
 
 // Cap returns the buffer capacity in regions.
-func (h *HistoryBuffer) Cap() int { return len(h.buf) }
+func (h *HistoryBuffer) Cap() int { return h.cap }
 
 // Tail returns the absolute position of the next append.
 func (h *HistoryBuffer) Tail() uint64 { return h.tail }
 
 // Append stores a region and returns its absolute position.
 func (h *HistoryBuffer) Append(r Region) uint64 {
-	pos := h.tail
-	h.buf[pos%uint64(len(h.buf))] = r
+	if len(h.buf) < h.cap {
+		// Not yet wrapped: r's position, tail, is len(h.buf).
+		h.buf = append(grow(h.buf, h.cap), r)
+	} else {
+		h.buf[h.tail%uint64(len(h.buf))] = r
+	}
 	h.tail++
-	return pos
+	return h.tail - 1
 }
 
 // At returns the region at absolute position pos; ok is false when the
 // position has been overwritten (older than capacity) or not yet written.
+// Until the buffer wraps, len(h.buf) == tail, so pos % len(h.buf) is the
+// position's slot both before and after.
 func (h *HistoryBuffer) At(pos uint64) (Region, bool) {
-	if pos >= h.tail || h.tail-pos > uint64(len(h.buf)) {
+	if pos >= h.tail || h.tail-pos > uint64(h.cap) {
 		return Region{}, false
 	}
 	return h.buf[pos%uint64(len(h.buf))], true
+}
+
+// grow makes room for one more element in s, doubling its capacity but
+// never past limit, so a table that stops short of its limit never
+// holds more than twice what it uses and a full one holds exactly limit.
+func grow[T any](s []T, limit int) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	n := 2 * cap(s)
+	if n < 16 {
+		n = 16
+	}
+	if n > limit {
+		n = limit
+	}
+	out := make([]T, len(s), n)
+	copy(out, s)
+	return out
 }
 
 // indexEntry is one index-table mapping.
@@ -59,34 +91,55 @@ type indexSlot struct {
 
 // IndexTable maps a trigger block to the history position of its most
 // recent record (Section 4.2). It is a bounded cache-like structure with
-// LRU replacement: a fixed entry pool threaded by an intrusive
-// doubly-linked LRU list, found through a fixed open-addressed table of
-// at least twice the capacity (linear probing, backward-shift delete), so
-// no operation hashes through a Go map or allocates.
+// LRU replacement: an entry pool threaded by an intrusive doubly-linked
+// LRU list, found through an open-addressed table (linear probing,
+// backward-shift delete), so no operation hashes through a Go map.
+//
+// Both grow on demand. Entries are numbered in insertion order and
+// appended until the pool holds capacity of them; only then does the
+// LRU entry get recycled. The lookup table doubles to keep its load at
+// most one half, up to the first power of two of at least twice the
+// capacity. Entry numbering and LRU order are those of a table
+// allocated whole up front, so results are the same; memory follows
+// what is recorded, and a full table stops allocating.
 type IndexTable struct {
 	entries []indexEntry
+	cap     int
 	slots   []indexSlot
 	shift   uint // 64 - log2(len(slots))
 	head    int  // MRU
 	tailIdx int  // LRU
-	used    int
 }
+
+// minIndexSlots is the lookup table's starting size.
+const minIndexSlots = 16
 
 // NewIndexTable builds an index with the given entry capacity (minimum 1).
 func NewIndexTable(capacity int) *IndexTable {
 	if capacity < 1 {
 		capacity = 1
 	}
-	bits := uint(1)
-	for 1<<bits < 2*capacity {
+	n := 2
+	for n < minIndexSlots && n < 2*capacity {
+		n *= 2
+	}
+	t := &IndexTable{cap: capacity, head: -1, tailIdx: -1}
+	t.resize(n)
+	return t
+}
+
+// resize rebuilds the lookup table with n buckets (a power of two) and
+// re-inserts every live entry.
+func (t *IndexTable) resize(n int) {
+	bits := uint(0)
+	for 1<<bits < n {
 		bits++
 	}
-	return &IndexTable{
-		entries: make([]indexEntry, capacity),
-		slots:   make([]indexSlot, 1<<bits),
-		shift:   64 - bits,
-		head:    -1,
-		tailIdx: -1,
+	t.slots = make([]indexSlot, n)
+	t.shift = 64 - bits
+	for i := range t.entries {
+		trigger := t.entries[i].trigger
+		t.slots[t.find(trigger)] = indexSlot{trigger: trigger, entry: int32(i + 1)}
 	}
 }
 
@@ -129,10 +182,10 @@ func (t *IndexTable) remove(trigger isa.Block) {
 }
 
 // Cap returns the entry capacity.
-func (t *IndexTable) Cap() int { return len(t.entries) }
+func (t *IndexTable) Cap() int { return t.cap }
 
 // Len returns the number of live entries.
-func (t *IndexTable) Len() int { return t.used }
+func (t *IndexTable) Len() int { return len(t.entries) }
 
 // unlink removes entry i from the LRU list.
 func (t *IndexTable) unlink(i int) {
@@ -173,9 +226,12 @@ func (t *IndexTable) Put(trigger isa.Block, pos uint64) {
 		return
 	}
 	var i int
-	if t.used < len(t.entries) {
-		i = t.used
-		t.used++
+	if len(t.entries) < t.cap {
+		i = len(t.entries)
+		if 2*(i+1) > len(t.slots) {
+			t.resize(2 * len(t.slots))
+		}
+		t.entries = append(grow(t.entries, t.cap), indexEntry{})
 	} else {
 		i = t.tailIdx
 		t.remove(t.entries[i].trigger)

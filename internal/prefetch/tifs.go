@@ -34,7 +34,7 @@ type TIFS struct {
 	cfg     TIFSConfig
 	history []isa.Block
 	base    int
-	index   map[isa.Block]int
+	index   blockIndex // block -> position of its latest miss
 	streams []tifsStream
 	clock   uint64
 }
@@ -55,7 +55,6 @@ func NewTIFS(cfg TIFSConfig) *TIFS {
 	}
 	return &TIFS{
 		cfg:     cfg,
-		index:   make(map[isa.Block]int),
 		streams: make([]tifsStream, cfg.Streams),
 	}
 }
@@ -118,11 +117,11 @@ func (t *TIFS) OnAccess(ev AccessEvent, iss Issuer) {
 	// Record the miss and, if this miss address heads a recorded stream,
 	// start replaying it.
 	if !advanced {
-		if pos, ok := t.index[b]; ok {
+		if pos, ok := t.index.get(b); ok {
 			t.open(pos+1, iss)
 		}
 	}
-	t.index[b] = t.end()
+	t.index.put(b, t.end())
 	t.history = append(t.history, b)
 	if t.cfg.HistoryBlocks > 0 && len(t.history) > t.cfg.HistoryBlocks {
 		drop := len(t.history) - t.cfg.HistoryBlocks

@@ -39,7 +39,10 @@ import (
 //	3: sim.Config gained MeasureOffsetInstrs (exact sharded replay): a
 //	   v2 worker would silently drop the offset and measure the wrong
 //	   interval, so shard jobs must not reach one.
-const WireVersion = 3
+//	4: jobs carry lanes (runner.Job.Lanes: label, config and engine per
+//	   lane) and results one labeled sim result per lane. A v3 worker
+//	   would drop the lanes and report their cells as never run.
+const WireVersion = 4
 
 // JobSpec is the wire form of a runner.Job: everything a worker needs to
 // rebuild and run the job locally, and nothing that cannot cross a
@@ -52,6 +55,39 @@ type JobSpec struct {
 	Config   sim.Config      `json:"config"`
 	Engine   prefetch.Spec   `json:"engine"`
 	Source   *sim.SourceSpec `json:"source,omitempty"`
+	Lanes    []LaneSpec      `json:"lanes,omitempty"`
+}
+
+// LaneSpec is the wire form of a runner.Lane. A lane inherits the job's
+// workload and source; its instrument and observer are process-local
+// and never travel.
+type LaneSpec struct {
+	Label  string        `json:"label,omitempty"`
+	Config sim.Config    `json:"config"`
+	Engine prefetch.Spec `json:"engine"`
+}
+
+// checkEngine validates a job's or lane's engine spec against the
+// registry.
+func checkEngine(label string, e prefetch.Spec) error {
+	if e.Name == "" {
+		return fmt.Errorf("remote: job %q names no engine", label)
+	}
+	if err := prefetch.Validate(e); err != nil {
+		return fmt.Errorf("remote: job %q: %w", label, err)
+	}
+	return nil
+}
+
+// checkLocal refuses process-local callbacks on a job or lane.
+func checkLocal(label string, instrument func(prefetch.Prefetcher), obs sim.Observer) error {
+	if instrument != nil {
+		return fmt.Errorf("remote: job %q carries an instrument callback; instruments are process-local", label)
+	}
+	if obs != nil {
+		return fmt.Errorf("remote: job %q carries an observer callback; observers are process-local", label)
+	}
+	return nil
 }
 
 // EncodeJob converts a runner.Job to its wire form. Jobs carrying
@@ -61,17 +97,11 @@ type JobSpec struct {
 // engine spec is validated against the registry before it travels, so a
 // bad param fails at submission, not on a worker.
 func EncodeJob(j runner.Job) (JobSpec, error) {
-	if j.Engine.Name == "" {
-		return JobSpec{}, fmt.Errorf("remote: job %q names no engine", j.Label)
+	if err := checkEngine(j.Label, j.Engine); err != nil {
+		return JobSpec{}, err
 	}
-	if err := prefetch.Validate(j.Engine); err != nil {
-		return JobSpec{}, fmt.Errorf("remote: job %q: %w", j.Label, err)
-	}
-	if j.Instrument != nil {
-		return JobSpec{}, fmt.Errorf("remote: job %q carries an instrument callback; instruments are process-local", j.Label)
-	}
-	if j.Observer != nil {
-		return JobSpec{}, fmt.Errorf("remote: job %q carries an observer callback; observers are process-local", j.Label)
+	if err := checkLocal(j.Label, j.Instrument, j.Observer); err != nil {
+		return JobSpec{}, err
 	}
 	if j.Workload.Name == "" {
 		return JobSpec{}, fmt.Errorf("remote: job %q has an unnamed workload", j.Label)
@@ -97,6 +127,15 @@ func EncodeJob(j runner.Job) (JobSpec, error) {
 		}
 		spec.Source = &ss
 	}
+	for _, l := range j.Lanes {
+		if err := checkEngine(l.Label, l.Engine); err != nil {
+			return JobSpec{}, err
+		}
+		if err := checkLocal(l.Label, l.Instrument, l.Observer); err != nil {
+			return JobSpec{}, err
+		}
+		spec.Lanes = append(spec.Lanes, LaneSpec{Label: l.Label, Config: l.Config, Engine: l.Engine})
+	}
 	// Program images are deterministic functions of the profile; the
 	// worker rebuilds (and caches) them, so j.Program is dropped.
 	return spec, nil
@@ -114,17 +153,20 @@ func (s JobSpec) Job() (runner.Job, error) {
 	if err != nil {
 		return runner.Job{}, fmt.Errorf("remote: job %q: %w", s.Label, err)
 	}
-	if s.Engine.Name == "" {
-		return runner.Job{}, fmt.Errorf("remote: job %q names no engine", s.Label)
-	}
-	if err := prefetch.Validate(s.Engine); err != nil {
-		return runner.Job{}, fmt.Errorf("remote: job %q: %w", s.Label, err)
+	if err := checkEngine(s.Label, s.Engine); err != nil {
+		return runner.Job{}, err
 	}
 	j := runner.Job{
 		Label:    s.Label,
 		Workload: w,
 		Config:   s.Config,
 		Engine:   s.Engine,
+	}
+	for _, l := range s.Lanes {
+		if err := checkEngine(l.Label, l.Engine); err != nil {
+			return runner.Job{}, err
+		}
+		j.Lanes = append(j.Lanes, runner.Lane{Label: l.Label, Config: l.Config, Engine: l.Engine})
 	}
 	if s.Source != nil {
 		src, err := s.Source.New()
@@ -144,8 +186,15 @@ type WireResult struct {
 	Index        int        `json:"index"`
 	Label        string     `json:"label,omitempty"`
 	Sim          sim.Result `json:"sim"`
+	Lanes        []WireLane `json:"lanes,omitempty"`
 	Err          string     `json:"err,omitempty"`
 	ElapsedNanos int64      `json:"elapsed_nanos"`
+}
+
+// WireLane is the wire form of a runner.LaneResult.
+type WireLane struct {
+	Label string     `json:"label,omitempty"`
+	Sim   sim.Result `json:"sim"`
 }
 
 // EncodeResult converts a runner.Result to its wire form.
@@ -156,6 +205,9 @@ func EncodeResult(r runner.Result) WireResult {
 		Label:        r.Label,
 		Sim:          r.Sim,
 		ElapsedNanos: r.Elapsed.Nanoseconds(),
+	}
+	for _, l := range r.Lanes {
+		wr.Lanes = append(wr.Lanes, WireLane{Label: l.Label, Sim: l.Sim})
 	}
 	if r.Err != nil {
 		wr.Err = r.Err.Error()
@@ -173,6 +225,9 @@ func (w WireResult) Result() (runner.Result, error) {
 		Label:   w.Label,
 		Sim:     w.Sim,
 		Elapsed: time.Duration(w.ElapsedNanos),
+	}
+	for _, l := range w.Lanes {
+		r.Lanes = append(r.Lanes, runner.LaneResult{Label: l.Label, Sim: l.Sim})
 	}
 	if w.Err != "" {
 		r.Err = errors.New(w.Err)

@@ -204,8 +204,109 @@ func TestWireVersionEnforced(t *testing.T) {
 	if _, err := (JobSpec{V: 2, Workload: "OLTP DB2", Engine: prefetch.Spec{Name: "none"}}).Job(); err == nil {
 		t.Error("v2 job spec accepted")
 	}
+	// A v3 peer predates lanes: it would drop a job's lanes and report
+	// their cells as never run.
+	if _, err := (JobSpec{V: 3, Workload: "OLTP DB2", Engine: prefetch.Spec{Name: "none"}}).Job(); err == nil {
+		t.Error("v3 job spec accepted")
+	}
+	if _, err := (WireResult{V: 3}).Result(); err == nil {
+		t.Error("v3 result accepted")
+	}
 	if _, err := (WireResult{V: 0}).Result(); err == nil {
 		t.Error("unversioned result accepted")
+	}
+}
+
+// laneJob is a job with two lanes varying engine and back-half config.
+func laneJob() runner.Job {
+	cfg := sim.DefaultConfig()
+	perfect := cfg
+	perfect.PerfectL1 = true
+	return runner.Job{
+		Label:    "cell/pif",
+		Workload: workload.OLTPDB2(),
+		Config:   cfg,
+		Engine:   prefetch.Spec{Name: "pif", Params: map[string]float64{"history": 4096}},
+		Lanes: []runner.Lane{
+			{Label: "cell/tifs", Config: cfg, Engine: prefetch.Spec{Name: "tifs"}},
+			{Label: "cell/perfect", Config: perfect, Engine: prefetch.Spec{Name: "none"}},
+		},
+	}
+}
+
+// TestEncodeJobLanes: lanes travel with their labels, configs and engine
+// specs, and their results come back labeled, in lane order.
+func TestEncodeJobLanes(t *testing.T) {
+	j := laneJob()
+	spec, err := EncodeJob(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back JobSpec
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	got, err := back.Job()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Lanes) != len(j.Lanes) {
+		t.Fatalf("decoded %d lanes, want %d", len(got.Lanes), len(j.Lanes))
+	}
+	for i, l := range got.Lanes {
+		w := j.Lanes[i]
+		if l.Label != w.Label || l.Config != w.Config || l.Engine.String() != w.Engine.String() {
+			t.Errorf("lane %d = %+v, want %+v", i, l, w)
+		}
+	}
+	res := runner.Result{Index: 3, Label: j.Label, Sim: sim.Result{Instructions: 1},
+		Lanes: []runner.LaneResult{{Label: "cell/tifs", Sim: sim.Result{Instructions: 2}}, {Label: "cell/perfect", Sim: sim.Result{Instructions: 3}}}}
+	rb, _ := json.Marshal(EncodeResult(res))
+	var wr WireResult
+	if err := json.Unmarshal(rb, &wr); err != nil {
+		t.Fatal(err)
+	}
+	r, err := wr.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Lanes) != 2 || r.Lanes[0] != res.Lanes[0] || r.Lanes[1] != res.Lanes[1] {
+		t.Errorf("lane results round-tripped as %+v, want %+v", r.Lanes, res.Lanes)
+	}
+}
+
+// TestLanesValidated: each lane is checked on encode (engine spec,
+// process-local callbacks) and on decode (engine spec), with the lane's
+// label in the message.
+func TestLanesValidated(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(l *runner.Lane)
+		want string
+	}{
+		{"no engine", func(l *runner.Lane) { l.Engine = prefetch.Spec{} }, "names no engine"},
+		{"bad param", func(l *runner.Lane) { l.Engine = prefetch.Spec{Name: "tifs", Params: map[string]float64{"bogus": 1}} }, "bogus"},
+		{"instrument", func(l *runner.Lane) { l.Instrument = func(prefetch.Prefetcher) {} }, "instrument"},
+		{"observer", func(l *runner.Lane) { l.Observer = nopObserver{} }, "observer"},
+	} {
+		j := laneJob()
+		tc.edit(&j.Lanes[1])
+		_, err := EncodeJob(j)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "cell/perfect") {
+			t.Errorf("%s: EncodeJob err = %v, want %q naming the lane", tc.name, err, tc.want)
+		}
+	}
+	spec, err := EncodeJob(laneJob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Lanes[0].Engine = prefetch.Spec{Name: "pif", Params: map[string]float64{"history": -5}}
+	if _, err := spec.Job(); err == nil || !strings.Contains(err.Error(), "cell/tifs") {
+		t.Errorf("forged lane engine decoded: err = %v", err)
 	}
 }
 
@@ -237,6 +338,15 @@ func FuzzJobSpecRoundTrip(f *testing.F) {
 	}
 	tb, _ := json.Marshal(tuned)
 	f.Add(string(tb))
+	lanes, err := EncodeJob(laneJob())
+	if err != nil {
+		f.Fatal(err)
+	}
+	lb, _ := json.Marshal(lanes)
+	f.Add(string(lb))
+	f.Add(`{"v":4,"workload":"OLTP DB2","engine":{"name":"none"},"lanes":[{"label":"l","engine":{"name":"tifs"}},{"engine":{"name":"pif","params":{"budget_kb":32}}}]}`)
+	f.Add(`{"v":4,"workload":"OLTP DB2","engine":{"name":"none"},"lanes":[{"engine":{"name":""}}]}`)
+	f.Add(`{"v":3,"workload":"OLTP DB2","engine":{"name":"none"},"lanes":[{"engine":{"name":"tifs"}}]}`)
 	f.Add(`{"v":3,"workload":"OLTP DB2","engine":{"name":"none"},"source":{"kind":"slice","path":"/x","window":{"Off":1,"Len":2}}}`)
 	f.Add(`{"v":3,"workload":"OLTP DB2","engine":{"name":"pif","params":{"history":2048,"index":512}}}`)
 	f.Add(`{"v":3,"workload":"OLTP DB2","engine":{"name":"pif","params":{"history":1e309}}}`)

@@ -64,7 +64,41 @@ type Job struct {
 	// invoked from the job's worker goroutine and must be private to the
 	// job.
 	Observer sim.Observer
+	// Lanes are extra simulations that read the job's record stream in
+	// the same pass (sim.RunJobs): one executor and one frontend feed the
+	// job's own back half and every lane's in lockstep. Lanes inherit
+	// the job's workload, program and source; their configs must agree
+	// with the job's on the front-end parameters and the warmup, offset
+	// and measure lengths. Nil runs the job alone.
+	Lanes []Lane
 }
+
+// Lane is one extra simulation of a job: everything a cell may vary
+// without changing the record stream or the frontend it shares.
+type Lane struct {
+	// Label identifies the lane in result tables and persisted results.
+	Label string
+	// Config parameterizes the lane's back half (engine-side system
+	// parameters, PerfectL1); see Job.Lanes for what must match.
+	Config sim.Config
+	// Engine is the lane's prefetch-engine spec.
+	Engine prefetch.Spec
+	// Instrument and Observer are as on Job, for this lane's engine and
+	// measured interval.
+	Instrument func(prefetch.Prefetcher)
+	Observer   sim.Observer
+}
+
+// LaneResult is the outcome of one lane: its label, echoed from the
+// Lane, and its simulation result.
+type LaneResult struct {
+	Label string
+	Sim   sim.Result
+}
+
+// width is the number of simulations the job runs: its own plus its
+// lanes.
+func (j Job) width() int { return 1 + len(j.Lanes) }
 
 // Result is the outcome of one job.
 type Result struct {
@@ -75,6 +109,9 @@ type Result struct {
 	Label string
 	// Sim is the simulation outcome (zero when Err is non-nil).
 	Sim sim.Result
+	// Lanes holds one outcome per Job.Lanes entry, in order (nil when
+	// Err is non-nil). Lanes share the job's Err and Elapsed.
+	Lanes []LaneResult
 	// Err is the job's failure, if any.
 	Err error
 	// Elapsed is the job's wall-clock duration.
@@ -84,8 +121,10 @@ type Result struct {
 // Progress reports one finished job. Callbacks are serialized: RunOn
 // never invokes OnProgress concurrently.
 type Progress struct {
-	// Done is the number of finished jobs including this one; Total is
-	// the submitted job count.
+	// Done is the number of finished simulations including this job's,
+	// and Total the number submitted: both count a job with lanes once
+	// per lane, so they count grid cells whether or not cells share a
+	// pass. Progress still fires once per job.
 	Done, Total int
 	// Index and Label identify the finished job.
 	Index int
@@ -236,16 +275,11 @@ func (b *LocalBackend) Close() error {
 	return nil
 }
 
-// runJob executes a single job.
+// runJob executes a single job and its lanes in one pass.
 func runJob(ctx context.Context, idx int, j Job) Result {
 	res := Result{Index: idx, Label: j.Label}
 	start := time.Now()
-	if j.Engine.Name == "" {
-		res.Err = fmt.Errorf("runner: job %q names no engine", j.Label)
-		res.Elapsed = time.Since(start)
-		return res
-	}
-	res.Sim, res.Err = sim.RunJob(ctx, sim.Job{
+	base := sim.Job{
 		Config:     j.Config,
 		Workload:   j.Workload,
 		Program:    j.Program,
@@ -253,7 +287,31 @@ func runJob(ctx context.Context, idx int, j Job) Result {
 		Engine:     j.Engine,
 		Instrument: j.Instrument,
 		Observer:   j.Observer,
-	})
+	}
+	jobs := []sim.Job{base}
+	labels := []string{j.Label}
+	for _, l := range j.Lanes {
+		lj := base
+		lj.Config, lj.Engine, lj.Instrument, lj.Observer = l.Config, l.Engine, l.Instrument, l.Observer
+		jobs = append(jobs, lj)
+		labels = append(labels, l.Label)
+	}
+	for i, sj := range jobs {
+		if sj.Engine.Name == "" {
+			res.Err = fmt.Errorf("runner: job %q names no engine", labels[i])
+			res.Elapsed = time.Since(start)
+			return res
+		}
+	}
+	sims, err := sim.RunJobs(ctx, jobs)
+	if err != nil {
+		res.Err = err
+	} else {
+		res.Sim = sims[0]
+		for i, l := range j.Lanes {
+			res.Lanes = append(res.Lanes, LaneResult{Label: l.Label, Sim: sims[i+1]})
+		}
+	}
 	res.Elapsed = time.Since(start)
 	return res
 }
@@ -272,8 +330,10 @@ func RunOn(ctx context.Context, b Backend, jobs []Job, onProgress func(Progress)
 	}
 	results := make([]Result, len(jobs))
 	got := make([]bool, len(jobs))
+	total := 0
 	for i := range results {
 		results[i] = Result{Index: i, Label: jobs[i].Label}
+		total += jobs[i].width()
 	}
 	if len(jobs) == 0 {
 		return results, ctx.Err()
@@ -304,7 +364,7 @@ func RunOn(ctx context.Context, b Backend, jobs []Job, onProgress func(Progress)
 		submitted <- out
 	}()
 
-	var done, want int
+	var done, want, sims int
 	var submitErr error
 	want = -1
 	for want < 0 || done < want {
@@ -350,13 +410,20 @@ func RunOn(ctx context.Context, b Backend, jobs []Job, onProgress func(Progress)
 			if r.Index < 0 || r.Index >= len(results) {
 				return results, fmt.Errorf("runner: backend returned result for unknown job index %d", r.Index)
 			}
+			if want := len(jobs[r.Index].Lanes); r.Err == nil && len(r.Lanes) != want {
+				// A backend that lost lanes must not let a cell pass
+				// for a simulation that never ran.
+				r.Err = fmt.Errorf("runner: backend returned %d lane results for job %d, want %d", len(r.Lanes), r.Index, want)
+				r.Sim, r.Lanes = sim.Result{}, nil
+			}
 			results[r.Index] = r
 			got[r.Index] = true
 			done++
+			sims += jobs[r.Index].width()
 			if onProgress != nil {
 				onProgress(Progress{
-					Done:    done,
-					Total:   len(jobs),
+					Done:    sims,
+					Total:   total,
 					Index:   r.Index,
 					Label:   r.Label,
 					Elapsed: r.Elapsed,

@@ -47,6 +47,49 @@ func Conformance(t *testing.T, mk func(t *testing.T) runner.Backend) {
 	t.Run("EchoesIndicesOnce", func(t *testing.T) { testEcho(t, mk(t)) })
 	t.Run("ReusableAcrossRuns", func(t *testing.T) { testReuse(t, mk(t)) })
 	t.Run("SubmitAfterCloseSentinel", func(t *testing.T) { testClosedSentinel(t, mk(t)) })
+	t.Run("LaneJob", func(t *testing.T) { testLanes(t, mk(t)) })
+}
+
+// testLanes checks that a job with lanes returns one labeled result per
+// lane, each equal to the result of the same cell run as its own job,
+// and that progress counts the lanes as cells.
+func testLanes(t *testing.T, b runner.Backend) {
+	defer b.Close()
+	cells := Jobs(t, 1)
+	for _, eng := range []string{"none", "tifs"} {
+		c := cells[0]
+		c.Label = fmt.Sprintf("%s/%s", cells[0].Label, eng)
+		c.Engine = prefetch.Spec{Name: eng}
+		c.Config.PerfectL1 = eng == "none"
+		cells = append(cells, c)
+	}
+	job := cells[0]
+	for _, c := range cells[1:] {
+		job.Lanes = append(job.Lanes, runner.Lane{Label: c.Label, Config: c.Config, Engine: c.Engine})
+	}
+	var progress []runner.Progress
+	got, err := runner.RunOn(context.Background(), b, []runner.Job{job}, func(p runner.Progress) { progress = append(progress, p) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := runner.RunOn(context.Background(), b, cells, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got[0].Lanes) != len(job.Lanes) {
+		t.Fatalf("job with %d lanes returned %d lane results", len(job.Lanes), len(got[0].Lanes))
+	}
+	if got[0].Sim != solo[0].Sim {
+		t.Errorf("lane 0 differs from its solo job")
+	}
+	for i, l := range got[0].Lanes {
+		if l.Label != cells[i+1].Label || l.Sim != solo[i+1].Sim {
+			t.Errorf("lane %d = %q %+v, want %q %+v", i+1, l.Label, l.Sim, cells[i+1].Label, solo[i+1].Sim)
+		}
+	}
+	if len(progress) != 1 || progress[0].Done != len(cells) || progress[0].Total != len(cells) {
+		t.Errorf("progress = %+v, want one callback counting %d cells", progress, len(cells))
+	}
 }
 
 // testEcho checks the core protocol: one result per Submit, each

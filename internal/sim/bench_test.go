@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -39,8 +40,9 @@ func BenchmarkReplayJob(b *testing.B) {
 }
 
 // TestStepSteadyStateAllocs pins the alloc-free hot loop: once the
-// simulator's working structures are warm, Step must not allocate — no
-// issuer boxing, no access-callback closure, no per-record buffers.
+// simulator's working structures are warm, a pass's step must not
+// allocate — no issuer boxing, no access-callback closure, no
+// per-record buffers — with one lane or several.
 // Engines that intentionally grow unbounded metadata (TIFS's miss
 // history) are excluded; the baselines and PIF here cover the frontend,
 // cache, polluter, and prefetch per-access paths, PIF's index table and
@@ -58,25 +60,58 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pf := range []prefetch.Prefetcher{
-		prefetch.None{},
-		prefetch.NewNextLine(4),
-		core.New(core.DefaultConfig()),
-	} {
-		s := New(cfg, pf, wl.Seed)
+	engines := func() []prefetch.Prefetcher {
+		return []prefetch.Prefetcher{prefetch.None{}, prefetch.NewNextLine(4), core.New(core.DefaultConfig())}
+	}
+	// Each engine alone, then all three as lanes of one pass.
+	passes := [][]prefetch.Prefetcher{}
+	for _, pf := range engines() {
+		passes = append(passes, []prefetch.Prefetcher{pf})
+	}
+	passes = append(passes, engines())
+	for _, pfs := range passes {
+		jobs := make([]Job, len(pfs))
+		for i := range jobs {
+			jobs[i] = Job{Config: cfg, Workload: wl}
+		}
+		p := newPass(jobs, pfs)
 		for _, r := range stream { // warm caches, maps, predictor state
-			s.Step(r)
+			p.step(r)
 		}
 		const chunk = 4096
 		batch := stream[:chunk]
 		perRun := testing.AllocsPerRun(20, func() {
 			for _, r := range batch {
-				s.Step(r)
+				p.step(r)
 			}
 		})
 		if perRecord := perRun / chunk; perRecord > 0.01 {
-			t.Errorf("%s: %.4f allocs/record in steady state (%.1f per %d-record run), want ~0",
-				s.pf.Name(), perRecord, perRun, chunk)
+			t.Errorf("%d lane(s) from %s: %.4f allocs/record in steady state (%.1f per %d-record run), want ~0",
+				len(pfs), pfs[0].Name(), perRecord, perRun, chunk)
 		}
+	}
+}
+
+// TestHugeHistoryAllocatesOnDemand: PIF's history buffer and index grow
+// with what is recorded, so an engine sized far beyond any run —
+// pif:history=1073741824, which derives a 2^28-entry index — runs a
+// small job within a small allocation budget instead of reserving its
+// whole capacity (tens of GB) when it is built.
+func TestHugeHistoryAllocatesOnDemand(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.WarmupInstrs, cfg.MeasureInstrs = 50_000, 50_000
+	spec, err := prefetch.ParseSpec("pif:history=1073741824")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := RunJob(context.Background(), Job{Config: cfg, Workload: workload.DSSQry2(), Engine: spec}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const budget = 64 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("job allocated %d MiB, want <= %d MiB", got>>20, budget>>20)
 	}
 }

@@ -14,7 +14,7 @@ func readySim(t *testing.T) *Simulator {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.System.CtxSwitchEveryInstrs = 0
-	return New(cfg, prefetch.None{}, 1)
+	return newPass([]Job{{Config: cfg}}, []prefetch.Prefetcher{prefetch.None{}}).lanes[0]
 }
 
 // evict pushes b out of the L1-I with demand fills of same-set blocks,

@@ -104,7 +104,10 @@ func (r Result) MissRatio() float64 {
 	return float64(r.CorrectMisses) / float64(r.CorrectAccesses)
 }
 
-// Simulator couples the models for one run.
+// Simulator couples the models for one run. It is one lane of a pass
+// (see RunJobs): the back half — L1-I, fill-latency model, polluter,
+// prefetch engine and counters — fed by a frontend that other lanes of
+// the same pass may share.
 type Simulator struct {
 	cfg Config
 	l1  *cache.Cache
@@ -140,15 +143,16 @@ type Observer interface {
 	OnCorrectFetch(tl isa.TrapLevel, hit, wasPrefetched bool)
 }
 
-// New builds a simulator; it panics on invalid system configuration.
-func New(cfg Config, pf prefetch.Prefetcher, feSeed int64) *Simulator {
+// newLane builds a simulator fed by frontend fe; it panics on invalid
+// system configuration.
+func newLane(cfg Config, pf prefetch.Prefetcher, feSeed int64, fe *frontend.Frontend) *Simulator {
 	if err := cfg.System.Validate(); err != nil {
 		panic(err)
 	}
 	s := &Simulator{
 		cfg:        cfg,
 		l1:         cache.New(cfg.System.L1I()),
-		fe:         frontend.New(cfg.System.Frontend(feSeed)),
+		fe:         fe,
 		pf:         pf,
 		lastTagged: true,
 		polluter: cache.NewPolluter(
@@ -241,9 +245,21 @@ func (s *Simulator) access(a frontend.Access) {
 	}, s.iss)
 }
 
-// Step consumes one retired instruction.
+// Step consumes one retired instruction: the frontend's accesses for
+// it, then its retirement. It is the single-lane pass step; the
+// retirement is spelled out rather than calling retire because an extra
+// call per record measurably slows single-lane runs.
 func (s *Simulator) Step(r trace.Record) {
 	s.fe.Feed(r, s.accessFn)
+	s.pf.OnRetire(r, s.lastTagged, s.iss)
+	s.instrs++
+	s.polluter.Tick(s.l1)
+}
+
+// retire is the back half of Step for a lane of a multi-lane pass: the
+// engine's retire-order training, the instruction count and
+// context-switch pollution.
+func (s *Simulator) retire(r trace.Record) {
 	s.pf.OnRetire(r, s.lastTagged, s.iss)
 	s.instrs++
 	s.polluter.Tick(s.l1)

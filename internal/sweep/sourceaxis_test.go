@@ -89,15 +89,16 @@ func TestSourceAxis(t *testing.T) {
 	}
 }
 
-// countingBackend wraps runner's local backend, counting submissions —
-// the stand-in for a custom Backend implementation.
+// countingBackend wraps runner's local backend, counting the cells it
+// is submitted (a job's own plus its lanes) — the stand-in for a custom
+// Backend implementation.
 type countingBackend struct {
 	*runner.LocalBackend
 	submits atomic.Int32
 }
 
 func (b *countingBackend) Submit(ctx context.Context, idx int, j runner.Job) error {
-	b.submits.Add(1)
+	b.submits.Add(int32(1 + len(j.Lanes)))
 	return b.LocalBackend.Submit(ctx, idx, j)
 }
 
@@ -117,7 +118,7 @@ func TestEngineBackendOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	if int(b.submits.Load()) != g.Size() {
-		t.Errorf("backend saw %d submits, want %d", b.submits.Load(), g.Size())
+		t.Errorf("backend saw %d cells, want %d", b.submits.Load(), g.Size())
 	}
 	ref, err := Run(PoolEngine{Workers: 2}, spec)
 	if err != nil {

@@ -494,22 +494,27 @@ type Engine interface {
 	// ForEach runs fn(i) for every i in [0, n) across a worker pool; fn
 	// must confine its writes to its own index.
 	ForEach(n int, fn func(i int) error) error
+	// Parallel returns the number of jobs the engine runs at once. Run
+	// never groups a grid's cells into fewer jobs than this.
+	Parallel() int
 }
 
 // Run expands the spec and executes every cell through the engine's
-// pool. Unsharded cells run as one simulation job each; cells with
-// Settings.Shards > 1 fan out into per-window shard jobs (all cells'
-// jobs travel in one flat batch, so shards of one cell and other cells
-// parallelize together) and are stitched back into one per-cell result
-// by sim.MergeShardResults. The grid's Results are attached even when
-// the run fails partway (canceled contexts, job errors), so callers can
-// salvage completed cells; the error reports the first failure.
+// pool. Unsharded live cells that read the same record stream run as
+// lanes of one job, so each workload executes once per group (see
+// plan); cells with Settings.Shards > 1 fan out into per-window shard
+// jobs (all cells' jobs travel in one flat batch, so shards of one cell
+// and other cells parallelize together) and are stitched back into one
+// per-cell result by sim.MergeShardResults. The grid's Results are
+// attached even when the run fails partway (canceled contexts, job
+// errors), so callers can salvage completed cells; the error reports
+// the first failure.
 func Run(eng Engine, s Spec) (*Grid, error) {
 	g, err := s.Expand()
 	if err != nil {
 		return nil, err
 	}
-	p, err := g.plan()
+	p, err := g.plan(eng.Parallel())
 	if err != nil {
 		return nil, err
 	}
@@ -558,6 +563,10 @@ func (p PoolEngine) RunJobs(jobs []runner.Job) ([]runner.Result, error) {
 	defer b.Close()
 	return runner.RunOn(p.Ctx, b, jobs, p.OnProgress)
 }
+
+// Parallel implements Engine: the worker count (GOMAXPROCS when
+// Workers <= 0), also when a Backend is set.
+func (p PoolEngine) Parallel() int { return runner.Workers(p.Workers) }
 
 // ForEach implements Engine.
 func (p PoolEngine) ForEach(n int, fn func(i int) error) error {
