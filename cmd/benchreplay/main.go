@@ -3,7 +3,7 @@
 //
 //   - BENCH_replay.json (the default suite): store decode throughput
 //     (per-record vs batch vs zero-copy mmap), end-to-end simulation
-//     replay, sharded replay, sweep-cell execution (serial vs sharded),
+//     replay, sweep-cell execution (serial vs sharded),
 //     and sweep-grid expansion, all with allocation profiles. The
 //     config block records whether the mmap or read-file chunk path
 //     served the run.
@@ -92,17 +92,17 @@ func runReplay(out, check string, logf func(string, ...any)) int {
 			fmt.Fprintln(os.Stderr, "benchreplay:", err)
 			return 1
 		}
-		fmt.Printf("benchreplay: %s is fresh; measured batch speedup %.2fx, mmap %.2fx (%s), sharded %.2fx, sweep cell %.2fx\n",
+		fmt.Printf("benchreplay: %s is fresh; measured batch speedup %.2fx, mmap %.2fx (%s), sweep cell %.2fx\n",
 			check, fresh.Derived.BatchSpeedup, fresh.Derived.MmapSpeedup, fresh.Config.ChunkSource,
-			fresh.Derived.ShardedSpeedup, fresh.Derived.SweepCellSpeedup)
+			fresh.Derived.SweepCellSpeedup)
 		return 0
 	}
 	if !writeArtifact(out, fresh) {
 		return 1
 	}
-	fmt.Printf("benchreplay: wrote %s (batch speedup %.2fx, mmap %.2fx (%s), sharded %.2fx, sweep cell %.2fx)\n",
+	fmt.Printf("benchreplay: wrote %s (batch speedup %.2fx, mmap %.2fx (%s), sweep cell %.2fx)\n",
 		out, fresh.Derived.BatchSpeedup, fresh.Derived.MmapSpeedup, fresh.Config.ChunkSource,
-		fresh.Derived.ShardedSpeedup, fresh.Derived.SweepCellSpeedup)
+		fresh.Derived.SweepCellSpeedup)
 	return 0
 }
 

@@ -2,24 +2,25 @@
 // measured coverage, miss ratio, and UIPC — the unit of work every figure
 // of the evaluation is built from.
 //
-// Both -workload and -prefetcher accept comma-separated lists (or "all");
-// the cross product fans out as jobs over a worker pool (-parallel) with
-// per-job wall-clock timing. A single job prints the full result detail.
+// -workload accepts a comma-separated list (or "all") and -engine is
+// repeatable; the cross product is one design-space sweep (pif.RunSweep)
+// whose cells fan out over a worker pool (-parallel) with per-cell
+// wall-clock timing. Cells that read the same record stream run as
+// lanes of one pass. A single cell prints the full result detail.
 //
-// Engines are declarative specs: the repeatable -engine flag takes
-// "name" or "name:param=value,..." (integer params accept K/M suffixes),
+// Engines are declarative specs: -engine takes "name" or
+// "name:param=value,..." (integer params accept K/M suffixes),
 // validated against each engine's registered schema — run
-// `pifsim -list-engines` to print every schema. The legacy -prefetcher
-// name list plus tuning flags (-history, -sabs, -window, -degree)
-// still works and folds into the same specs.
+// `pifsim -list-engines` to print every schema. Without -engine the
+// engine is pif.
 //
 // Usage:
 //
 //	pifsim [-workload "OLTP DB2,Web Apache"|all] [-engine pif:budget_kb=32]
 //	       [-engine tifs] [-parallel N] [-perfect] [-warmup N] [-measure N] [-v]
-//	pifsim [-prefetcher pif,tifs|all] [-history N] [-sabs N] [-window N] [-degree N] ...
-//	pifsim -trace apache.store [-engine pif,...] ...
+//	pifsim -trace apache.store [-engine pif ...] ...
 //	pifsim -trace apache.store -source slice@8M:2M [-engine ...] ...
+//	pifsim -trace apache.store -shards 4 [-exact] [-engine ...] ...
 //	pifsim -list-engines
 //
 // The -source flag selects where the instruction stream comes from:
@@ -29,13 +30,23 @@
 // [off, off+len) of the store, located through the store index without
 // decoding the prefix — off and len accept K/M suffixes). Replay jobs
 // stream the trace chunk by chunk (peak memory one chunk, not the trace
-// length); the replayed range must hold at least warmup+measure records.
+// length). The store is checked before any job starts: it must hold
+// warmup+measure records (the slice, its window) and, for a full-store
+// replay, carry a compatible phase split.
+//
+// -shards K splits each store-replay cell into K window-shard jobs that
+// run on the same pool (-parallel) and are stitched back into one
+// result: a sharded run is a one-cell sweep with BaseShards = K. With
+// -exact the stitched result is bit-identical to the unsharded replay.
+// With -v each shard job prints its own progress line ("[shard k/K]").
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -47,81 +58,65 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "pifsim:", err)
+		os.Exit(1)
+	}
 }
 
-func run() int {
-	wlNames := flag.String("workload", "OLTP DB2", "comma-separated workload names, or \"all\" (see -list)")
-	traceDir := flag.String("trace", "", "replay a sharded trace store directory instead of executing a workload")
-	sourceSpec := flag.String("source", "", "record source: live, store, or slice@off:len (store and slice replay the -trace store; default live, or store when -trace is set)")
-	list := flag.Bool("list", false, "list workloads and prefetchers and exit")
-	listEngines := flag.Bool("list-engines", false, "print every engine's parameter schema and exit")
-	pfNames := flag.String("prefetcher", "pif", "comma-separated prefetchers (pif, tifs, nextline, none, ...), or \"all\"")
+// run parses args, runs the requested simulations and writes the report
+// to out; progress lines (-v) go to stderr.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("pifsim", flag.ExitOnError)
+	wlNames := fs.String("workload", "OLTP DB2", "comma-separated workload names, or \"all\" (see -list)")
+	traceDir := fs.String("trace", "", "replay a sharded trace store directory instead of executing a workload")
+	sourceSpec := fs.String("source", "", "record source: live, store, or slice@off:len (store and slice replay the -trace store; default live, or store when -trace is set)")
+	list := fs.Bool("list", false, "list workloads and prefetchers and exit")
+	listEngines := fs.Bool("list-engines", false, "print every engine's parameter schema and exit")
 	var engineSpecs engineFlags
-	flag.Var(&engineSpecs, "engine", "engine spec name[:param=value,...] (repeatable; replaces -prefetcher and the tuning flags)")
-	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
-	perfect := flag.Bool("perfect", false, "simulate the perfect-latency L1 bound")
-	warmup := flag.Uint64("warmup", 8_000_000, "warmup instructions")
-	measure := flag.Uint64("measure", 2_000_000, "measured instructions")
-	history := flag.Int("history", 0, "PIF history buffer regions (0 = paper default 32K)")
-	sabs := flag.Int("sabs", 0, "PIF stream address buffers (0 = paper default 4)")
-	window := flag.Int("window", 0, "PIF SAB window regions (0 = paper default 7)")
-	degree := flag.Int("degree", 4, "next-line prefetch degree")
-	backendSpec := flag.String("backend", "local", "execution backend: local, or remote@ADDR (a pifcoord coordinator; jobs run on its worker fleet)")
-	authToken := flag.String("auth-token", "", "bearer token for a token-protected remote coordinator (empty for an open one)")
-	shards := flag.Int("shards", 1, "split a store replay into N parallel windows and stitch the results (needs -trace)")
-	exact := flag.Bool("exact", false, "sharded replay: measure each shard as a clock delta on the full trace prefix, so every counter — timing included — matches sequential replay bit for bit (parity mode; the last shard replays the whole trace, so expect no speedup)")
-	verbose := flag.Bool("v", false, "print full result struct (single job) or per-job progress")
+	fs.Var(&engineSpecs, "engine", "engine spec name[:param=value,...] (repeatable; default pif)")
+	parallel := fs.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
+	perfect := fs.Bool("perfect", false, "simulate the perfect-latency L1 bound")
+	warmup := fs.Uint64("warmup", 8_000_000, "warmup instructions")
+	measure := fs.Uint64("measure", 2_000_000, "measured instructions")
+	backendSpec := fs.String("backend", "local", "execution backend: local, or remote@ADDR (a pifcoord coordinator; jobs run on its worker fleet)")
+	authToken := fs.String("auth-token", "", "bearer token for a token-protected remote coordinator (empty for an open one)")
+	shards := fs.Int("shards", 1, "split a store replay into N parallel windows and stitch the results (needs -trace)")
+	exact := fs.Bool("exact", false, "sharded replay: measure each shard as a clock delta on the full trace prefix, so every counter — timing included — matches sequential replay bit for bit (parity mode; the last shard replays the whole trace, so expect no speedup)")
+	verbose := fs.Bool("v", false, "print full result struct (single cell) or per-job progress")
 	var profile prof.Flags
-	profile.Register(flag.CommandLine)
-	flag.Parse()
+	profile.Register(fs)
+	fs.Parse(args)
 
 	if err := profile.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "pifsim:", err)
-		return 1
+		return err
 	}
 	defer profile.Stop()
 
 	if *list {
-		fmt.Println("workloads:")
+		fmt.Fprintln(out, "workloads:")
 		for _, w := range pif.Workloads() {
-			fmt.Println("  " + w.Name)
+			fmt.Fprintln(out, "  "+w.Name)
 		}
-		fmt.Println("prefetchers:")
+		fmt.Fprintln(out, "prefetchers:")
 		for _, n := range pif.PrefetcherNames() {
-			fmt.Println("  " + n)
+			fmt.Fprintln(out, "  "+n)
 		}
-		return 0
+		return nil
 	}
 	if *listEngines {
 		for i, sch := range pif.EngineSchemas() {
 			if i > 0 {
-				fmt.Println()
+				fmt.Fprintln(out)
 			}
-			fmt.Print(sch.Describe())
+			fmt.Fprint(out, sch.Describe())
 		}
-		return 0
+		return nil
 	}
 
-	if len(engineSpecs) > 0 {
-		// -engine carries its own tuning; mixing it with the legacy
-		// name+knob flags would silently ignore one of them.
-		var conflict string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "prefetcher", "history", "sabs", "window", "degree":
-				conflict = f.Name
-			}
-		})
-		if conflict != "" {
-			fmt.Fprintf(os.Stderr, "pifsim: -engine and -%s are mutually exclusive (fold the tuning into the engine spec)\n", conflict)
-			return 1
-		}
-	}
-	engines, err := resolveEngines(engineSpecs, *pfNames, *history, *sabs, *window, *degree)
+	engines, err := resolveEngines(engineSpecs)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pifsim:", err)
-		return 1
+		return err
 	}
 
 	cfg := pif.DefaultSimConfig()
@@ -142,110 +137,115 @@ func run() int {
 	switch {
 	case src == "live":
 		if *traceDir != "" {
-			fmt.Fprintln(os.Stderr, "pifsim: -source live contradicts -trace (drop one)")
-			return 1
+			return errors.New("-source live contradicts -trace (drop one)")
 		}
 	case src == "store":
 	case strings.HasPrefix(src, "slice@"):
-		w, werr := pif.ParseTraceWindow(strings.TrimPrefix(src, "slice@"))
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "pifsim:", werr)
-			return 1
+		w, err := pif.ParseTraceWindow(strings.TrimPrefix(src, "slice@"))
+		if err != nil {
+			return err
 		}
 		win = &w
 	default:
-		fmt.Fprintf(os.Stderr, "pifsim: unknown -source %q (have live, store, slice@off:len)\n", src)
-		return 1
+		return fmt.Errorf("unknown -source %q (have live, store, slice@off:len)", src)
+	}
+	if *shards > 1 && src != "store" {
+		return errors.New("-shards needs a full-store replay (-trace DIR without -source slice)")
+	}
+	if *exact && *shards <= 1 {
+		return errors.New("-exact only applies to sharded replay (-shards N)")
 	}
 
-	if *shards > 1 {
-		if src != "store" {
-			fmt.Fprintln(os.Stderr, "pifsim: -shards needs a full-store replay (-trace DIR without -source slice)")
-			return 1
-		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		if err := shardedRun(ctx, *traceDir, cfg, engines, *shards, *exact, *perfect, *verbose, *backendSpec, *authToken, *parallel); err != nil {
-			fmt.Fprintln(os.Stderr, "pifsim:", err)
-			return 1
-		}
-		return 0
+	spec := pif.SweepSpec{
+		Name:            "pifsim",
+		Base:            cfg,
+		BaseShards:      *shards,
+		BaseShardApprox: !*exact,
 	}
-	if *exact {
-		fmt.Fprintln(os.Stderr, "pifsim: -exact only applies to sharded replay (-shards N)")
-		return 1
-	}
-
-	var jobs []pif.Job
-	if src != "live" {
+	if src == "live" {
+		workloads, err := resolveWorkloads(*wlNames)
+		if err != nil {
+			return err
+		}
+		spec.Axes = append(spec.Axes, pif.SweepWorkloadAxis("workload", workloads))
+	} else {
 		if *traceDir == "" {
-			fmt.Fprintf(os.Stderr, "pifsim: -source %s needs -trace DIR\n", src)
-			return 1
+			return fmt.Errorf("-source %s needs -trace DIR", src)
 		}
 		// The store names the workload; an explicit -workload alongside
 		// -trace would be silently ignored, so reject the combination.
 		workloadSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "workload" {
-				workloadSet = true
-			}
-		})
+		fs.Visit(func(f *flag.Flag) { workloadSet = workloadSet || f.Name == "workload" })
 		if workloadSet {
-			fmt.Fprintln(os.Stderr, "pifsim: -workload and -trace are mutually exclusive (the store names its workload)")
-			return 1
+			return errors.New("-workload and -trace are mutually exclusive (the store names its workload)")
 		}
-		jobs, err = traceJobs(*traceDir, win, cfg, engines)
-	} else {
-		var workloads []pif.Workload
-		workloads, err = resolveWorkloads(*wlNames)
-		for _, wl := range workloads {
-			for _, eng := range engines {
-				jobs = append(jobs, eng.job(wl.Name+"/"+eng.name, wl, cfg, nil))
-			}
+		wl, err := checkStore(*traceDir, win, cfg)
+		if err != nil {
+			return err
 		}
+		source, key := pif.StoreSource(*traceDir), "store"
+		if win != nil {
+			source, key = pif.SliceSource(*traceDir, *win), "slice"
+		}
+		spec.Axes = append(spec.Axes,
+			pif.SweepWorkloadAxis("workload", []pif.Workload{wl}),
+			pif.SweepAxis{Name: "source", Values: []pif.SweepValue{{
+				Key:   key,
+				Name:  src,
+				Apply: func(s *pif.SweepSettings) { s.Source = source },
+			}}})
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pifsim:", err)
-		return 1
-	}
+	spec.Axes = append(spec.Axes, pif.SweepEngineSpecAxis("engine", engines, nil))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
 	backend, err := pif.DialBackendAuth(*backendSpec, *parallel, *authToken)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pifsim:", err)
-		return 1
+		return err
 	}
 	defer backend.Close()
-	var onProgress pif.JobProgressFunc
-	if *verbose && len(jobs) > 1 {
-		onProgress = func(p pif.JobProgress) {
-			fmt.Fprintf(os.Stderr, "  [%3d/%3d] %-32s %8s\n",
-				p.Done, p.Total, p.Label, p.Elapsed.Round(time.Millisecond))
+	eng := pif.SweepPoolEngine{Ctx: ctx, Workers: *parallel, Backend: backend}
+	if *verbose {
+		eng.OnProgress = func(p pif.JobProgress) {
+			if p.Total > 1 {
+				fmt.Fprintf(os.Stderr, "  [%3d/%3d] %-32s %8s\n",
+					p.Done, p.Total, p.Label, p.Elapsed.Round(time.Millisecond))
+			}
 		}
 	}
 
 	start := time.Now()
-	results, err := pif.RunJobsOn(ctx, backend, jobs, onProgress)
+	g, err := pif.RunSweep(eng, spec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pifsim:", err)
-		return 1
+		return err
+	}
+	wall := time.Since(start).Round(time.Millisecond)
+	for _, r := range g.Results {
+		if r.Err != nil {
+			return r.Err
+		}
 	}
 
-	if len(results) == 1 {
-		printDetail(results[0], *perfect, *verbose)
-		return 0
+	if *shards > 1 {
+		mode := "approx"
+		if *exact {
+			mode = "exact"
+		}
+		fmt.Fprintf(out, "sharded replay: %d windows (%s warmup), %s wall-clock\n", *shards, mode, wall)
 	}
-	fmt.Printf("%-14s %-14s %8s %8s %8s %10s\n",
+	if len(g.Results) == 1 {
+		printDetail(out, g.Results[0], *perfect, *verbose)
+		return nil
+	}
+	fmt.Fprintf(out, "%-14s %-14s %8s %8s %8s %10s\n",
 		"workload", "prefetcher", "UIPC", "missrat", "coverage", "time")
-	for _, r := range results {
-		fmt.Printf("%-14s %-14s %8.4f %8.4f %7.1f%% %10s\n",
+	for _, r := range g.Results {
+		fmt.Fprintf(out, "%-14s %-14s %8.4f %8.4f %7.1f%% %10s\n",
 			r.Sim.Workload, r.Sim.Prefetcher, r.Sim.UIPC, r.Sim.MissRatio(),
 			r.Sim.Coverage()*100, r.Elapsed.Round(time.Millisecond))
 	}
-	fmt.Printf("(%d job(s) in %s wall-clock)\n", len(results), time.Since(start).Round(time.Millisecond))
-	return 0
+	fmt.Fprintf(out, "(%d job(s) in %s wall-clock)\n", len(g.Results), wall)
+	return nil
 }
 
 // engineFlags collects repeatable -engine spec strings.
@@ -254,130 +254,41 @@ type engineFlags []string
 func (e *engineFlags) String() string     { return strings.Join(*e, ",") }
 func (e *engineFlags) Set(v string) error { *e = append(*e, v); return nil }
 
-// engine pairs a display name with its declarative spec. Every engine —
-// tuned or not — is a validated spec, so every engine ships to every
-// backend (including remote) identically.
-type engine struct {
-	name string
-	spec pif.EngineSpec
-}
-
-// job builds the engine's job for one workload/config/source.
-func (e engine) job(label string, wl pif.Workload, cfg pif.SimConfig, src pif.Source) pif.Job {
-	return pif.Job{Label: label, Workload: wl, Config: cfg, Source: src, Engine: e.spec}
-}
-
-// shardedRun replays the store at dir once per engine, each time split
-// into the requested number of parallel windows and stitched back into
-// one whole-run result (pif.ShardedReplay). The store names the workload
-// and must carry a phase split compatible with the requested
-// warmup/measure interval, exactly as a sequential store replay would.
-func shardedRun(ctx context.Context, dir string, cfg pif.SimConfig, engines []engine, shards int, exact, perfect, verbose bool, backendSpec, authToken string, parallel int) error {
+// checkStore validates a replay of the trace store at dir before any job
+// starts, for sharded and unsharded replays alike, and returns the
+// workload the store names (its profile supplies the front-end seed). A
+// full-store replay needs warmup+measure records and a phase split
+// compatible with them; a slice is its own experiment — the window, not
+// the recorded phase split, defines what is replayed — so only the
+// window and its record budget are checked.
+func checkStore(dir string, win *pif.TraceWindow, cfg pif.SimConfig) (pif.Workload, error) {
 	ix, err := pif.ReadTraceIndex(dir)
 	if err != nil {
-		return err
-	}
-	// A remote backend is dialed once and shared across engines; local
-	// stays nil so ShardedReplay sizes a private pool per replay.
-	var backend pif.Backend
-	if backendSpec != "" && backendSpec != "local" {
-		backend, err = pif.DialBackendAuth(backendSpec, parallel, authToken)
-		if err != nil {
-			return err
-		}
-		defer backend.Close()
+		return pif.Workload{}, err
 	}
 	wl, err := pif.WorkloadByName(ix.Workload)
 	if err != nil {
-		return fmt.Errorf("trace store %s: %w", dir, err)
-	}
-	if !ix.PhaseCompatible(cfg.WarmupInstrs, cfg.MeasureInstrs) {
-		return fmt.Errorf(
-			"trace store %s was recorded with phase split %v; replaying -warmup %d -measure %d would silently diverge from a live run",
-			dir, ix.Phases, cfg.WarmupInstrs, cfg.MeasureInstrs)
-	}
-	mode := "approx"
-	if exact {
-		mode = "exact"
-	}
-	for i, eng := range engines {
-		start := time.Now()
-		opt := pif.ShardedReplayOptions{
-			Dir:      dir,
-			Workload: wl,
-			Config:   cfg,
-			Shards:   shards,
-			Exact:    exact,
-			Backend:  backend,
-			Engine:   eng.spec,
-		}
-		res, err := pif.ShardedReplay(ctx, opt)
-		if err != nil {
-			return fmt.Errorf("%s: %w", eng.name, err)
-		}
-		if i > 0 {
-			fmt.Println()
-		}
-		fmt.Printf("sharded replay: %d windows (%s warmup), %s wall-clock\n",
-			shards, mode, time.Since(start).Round(time.Millisecond))
-		printDetail(pif.JobResult{Sim: res.Merged, Elapsed: time.Since(start)}, perfect, verbose)
-		if verbose {
-			for k, p := range res.Plans {
-				fmt.Printf("  shard %d: window %s warmup %d offset %d measure %d uipc %.4f\n",
-					k, p.Window, p.WarmupInstrs, p.MeasureOffsetInstrs, p.MeasureInstrs, res.Shards[k].UIPC)
-			}
-		}
-	}
-	return nil
-}
-
-// traceJobs builds one replay job per engine over the sharded store at
-// dir (full-store replay, or one record window when window is non-nil).
-// The store names the workload (its profile supplies the front-end
-// seed); jobs carry a Source factory, so every job opens a private
-// reader and jobs fan out concurrently over the same trace.
-func traceJobs(dir string, window *pif.TraceWindow, cfg pif.SimConfig, engines []engine) ([]pif.Job, error) {
-	ix, err := pif.ReadTraceIndex(dir)
-	if err != nil {
-		return nil, err
-	}
-	wl, err := pif.WorkloadByName(ix.Workload)
-	if err != nil {
-		return nil, fmt.Errorf("trace store %s: %w", dir, err)
+		return pif.Workload{}, fmt.Errorf("trace store %s: %w", dir, err)
 	}
 	need := cfg.WarmupInstrs + cfg.MeasureInstrs
-	var source pif.Source
-	label := "(trace)"
-	if window != nil {
-		// A slice is its own experiment — the window, not the recorded
-		// phase split, defines what is replayed — so only the window's
-		// record budget is validated here.
-		if err := ix.CheckWindow(*window); err != nil {
-			return nil, err
+	if win != nil {
+		if err := ix.CheckWindow(*win); err != nil {
+			return pif.Workload{}, err
 		}
-		if window.Len < need {
-			return nil, fmt.Errorf("window %s holds %d records, need %d (warmup+measure)",
-				window, window.Len, need)
+		if win.Len < need {
+			return pif.Workload{}, fmt.Errorf("window %s holds %d records, need %d (warmup+measure)", win, win.Len, need)
 		}
-		source = pif.SliceSource(dir, *window)
-		label = fmt.Sprintf("(slice@%s)", window)
-	} else {
-		if ix.Records() < need {
-			return nil, fmt.Errorf("trace store %s holds %d records, need %d (warmup+measure)",
-				dir, ix.Records(), need)
-		}
-		if !ix.PhaseCompatible(cfg.WarmupInstrs, cfg.MeasureInstrs) {
-			return nil, fmt.Errorf(
-				"trace store %s was recorded with phase split %v; replaying -warmup %d -measure %d would silently diverge from a live run (re-record with tracegen -warmup %d, or match the recorded split)",
-				dir, ix.Phases, cfg.WarmupInstrs, cfg.MeasureInstrs, cfg.WarmupInstrs)
-		}
-		source = pif.StoreSource(dir)
+		return wl, nil
 	}
-	var jobs []pif.Job
-	for _, eng := range engines {
-		jobs = append(jobs, eng.job(wl.Name+label+"/"+eng.name, wl, cfg, source))
+	if ix.Records() < need {
+		return pif.Workload{}, fmt.Errorf("trace store %s holds %d records, need %d (warmup+measure)", dir, ix.Records(), need)
 	}
-	return jobs, nil
+	if !ix.PhaseCompatible(cfg.WarmupInstrs, cfg.MeasureInstrs) {
+		return pif.Workload{}, fmt.Errorf(
+			"trace store %s was recorded with phase split %v; replaying -warmup %d -measure %d would silently diverge from a live run (re-record with tracegen -warmup %d, or match the recorded split)",
+			dir, ix.Phases, cfg.WarmupInstrs, cfg.MeasureInstrs, cfg.WarmupInstrs)
+	}
+	return wl, nil
 }
 
 // resolveWorkloads expands the -workload flag.
@@ -396,68 +307,36 @@ func resolveWorkloads(names string) ([]pif.Workload, error) {
 	return out, nil
 }
 
-// resolveEngines builds the engine list: explicit -engine specs when
-// given, otherwise the legacy -prefetcher names with the tuning flags
-// folded into the equivalent specs. Every spec is validated up front so
-// a typo fails before any job runs.
-func resolveEngines(specs []string, names string, history, sabs, window, degree int) ([]engine, error) {
-	if len(specs) > 0 {
-		var out []engine
-		for _, s := range specs {
-			sp, err := pif.ParseEngineSpec(s)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, engine{sp.String(), sp})
-		}
-		return out, nil
+// resolveEngines parses the -engine specs (pif when none is given). Every
+// spec is validated up front so a typo fails before any job runs.
+func resolveEngines(specs []string) ([]pif.EngineSpec, error) {
+	if len(specs) == 0 {
+		return []pif.EngineSpec{{Name: "pif"}}, nil
 	}
-	if names == "all" {
-		names = strings.Join(pif.PrefetcherNames(), ",")
-	}
-	var out []engine
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		spec := pif.EngineSpec{Name: name}
-		switch name {
-		case "pif":
-			if history > 0 {
-				// -history tunes only the history capacity: pin the index
-				// at its default so the schema's history/4 derivation does
-				// not resize it (matching the historical flag semantics).
-				spec = spec.With("history", float64(history)).
-					With("index", float64(pif.DefaultPIFConfig().IndexEntries))
-			}
-			if sabs > 0 {
-				spec = spec.With("sabs", float64(sabs))
-			}
-			if window > 0 {
-				spec = spec.With("window", float64(window))
-			}
-		case "nextline":
-			spec = spec.With("degree", float64(degree))
-		}
-		if err := pif.ValidateEngineSpec(spec); err != nil {
+	out := make([]pif.EngineSpec, len(specs))
+	for i, s := range specs {
+		sp, err := pif.ParseEngineSpec(s)
+		if err != nil {
 			return nil, err
 		}
-		out = append(out, engine{name, spec})
+		out[i] = sp
 	}
 	return out, nil
 }
 
-// printDetail prints the single-job report (the historical pifsim output).
-func printDetail(r pif.JobResult, perfect, verbose bool) {
+// printDetail prints the single-cell report (the historical pifsim output).
+func printDetail(out io.Writer, r pif.JobResult, perfect, verbose bool) {
 	res := r.Sim
-	fmt.Printf("workload    %s\n", res.Workload)
-	fmt.Printf("prefetcher  %s (perfect L1: %v)\n", res.Prefetcher, perfect)
-	fmt.Printf("instructions %d  cycles %d  UIPC %.4f\n", res.Instructions, res.Cycles, res.UIPC)
-	fmt.Printf("fetch: %d correct-path accesses, %d misses (ratio %.4f)\n",
+	fmt.Fprintf(out, "workload    %s\n", res.Workload)
+	fmt.Fprintf(out, "prefetcher  %s (perfect L1: %v)\n", res.Prefetcher, perfect)
+	fmt.Fprintf(out, "instructions %d  cycles %d  UIPC %.4f\n", res.Instructions, res.Cycles, res.UIPC)
+	fmt.Fprintf(out, "fetch: %d correct-path accesses, %d misses (ratio %.4f)\n",
 		res.CorrectAccesses, res.CorrectMisses, res.MissRatio())
-	fmt.Printf("prefetch: %d issued, %d useful (coverage %.1f%%)\n",
+	fmt.Fprintf(out, "prefetch: %d issued, %d useful (coverage %.1f%%)\n",
 		res.PrefetchesIssued, res.CoveredMisses, res.Coverage()*100)
-	fmt.Printf("stall cycles %d\n", res.StallCycles)
-	fmt.Printf("wall-clock  %s\n", r.Elapsed.Round(time.Millisecond))
+	fmt.Fprintf(out, "stall cycles %d\n", res.StallCycles)
+	fmt.Fprintf(out, "wall-clock  %s\n", r.Elapsed.Round(time.Millisecond))
 	if verbose {
-		fmt.Printf("\nL1: %+v\nfront-end: %+v\n", res.L1, res.FE)
+		fmt.Fprintf(out, "\nL1: %+v\nfront-end: %+v\n", res.L1, res.FE)
 	}
 }

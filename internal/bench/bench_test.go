@@ -32,7 +32,7 @@ func TestRunArtifactStructure(t *testing.T) {
 		t.Errorf("schema = %d, want %d", a.Schema, SchemaVersion)
 	}
 	want := []string{
-		"sim_replay/sharded_2", "sim_replay/store",
+		"sim_replay/store",
 		"store_decode/batch", "store_decode/mmap", "store_decode/per_record",
 		"sweep_cell/serial", "sweep_cell/sharded_2", "sweep_expand/cell",
 	}
@@ -59,8 +59,7 @@ func TestRunArtifactStructure(t *testing.T) {
 	if m, ok := a.find("sweep_expand/cell"); !ok || m.MBPerSec != 0 {
 		t.Errorf("sweep_expand/cell MB/s = %f, want 0", m.MBPerSec)
 	}
-	if a.Derived.BatchSpeedup <= 0 || a.Derived.ShardedSpeedup <= 0 ||
-		a.Derived.MmapSpeedup <= 0 || a.Derived.SweepCellSpeedup <= 0 {
+	if a.Derived.BatchSpeedup <= 0 || a.Derived.MmapSpeedup <= 0 || a.Derived.SweepCellSpeedup <= 0 {
 		t.Errorf("derived ratios = %+v, want > 0", a.Derived)
 	}
 	if a.Config.ChunkSource != "mmap" && a.Config.ChunkSource != "readfile" {

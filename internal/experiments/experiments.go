@@ -78,11 +78,6 @@ type Options struct {
 	// collect-once, replay-many methodology). Results are byte-identical
 	// with and without spilling.
 	StoreDir string
-	// TraceDir is the former name of StoreDir.
-	//
-	// Deprecated: set StoreDir; TraceDir is consulted only when StoreDir
-	// is empty.
-	TraceDir string
 	// TraceChunkRecords is the records-per-chunk of spilled stores
 	// (0 = trace.DefaultChunkRecords).
 	TraceChunkRecords uint64
@@ -111,15 +106,6 @@ func QuickOptions() Options {
 		WarmupInstrs:  4_000_000,
 		MeasureInstrs: 1_000_000,
 	}
-}
-
-// storeDir resolves the trace-store pool directory, folding the
-// deprecated TraceDir alias into the new name ("" = in-memory streams).
-func (o Options) storeDir() string {
-	if o.StoreDir != "" {
-		return o.StoreDir
-	}
-	return o.TraceDir
 }
 
 // SweepSuite resolves the suite the design-space sweep artifacts run
@@ -235,7 +221,7 @@ func (e *Env) Program(p workload.Profile) (*workload.Program, error) {
 // pinning the whole stream in memory — streaming consumers should use
 // EachRecord instead.
 func (e *Env) Stream(p workload.Profile) (trace.Stream, error) {
-	if e.opts.storeDir() != "" {
+	if e.opts.StoreDir != "" {
 		r, err := e.openSpilled(p)
 		if err != nil {
 			return nil, err
@@ -284,7 +270,7 @@ func (e *Env) storeDirFor(p workload.Profile) string {
 	}, p.Name)
 	h := fnv.New32a()
 	h.Write([]byte(p.Name))
-	return filepath.Join(e.opts.storeDir(), fmt.Sprintf("%s-%08x-%d", sanitized, h.Sum32(), total))
+	return filepath.Join(e.opts.StoreDir, fmt.Sprintf("%s-%08x-%d", sanitized, h.Sum32(), total))
 }
 
 // Spill generates the workload's warmup+measure retire stream into a
@@ -294,7 +280,7 @@ func (e *Env) storeDirFor(p workload.Profile) string {
 // and replayed by every artifact, and by later processes pointed at the
 // same StoreDir. Spill requires Options.StoreDir.
 func (e *Env) Spill(p workload.Profile) (string, error) {
-	if e.opts.storeDir() == "" {
+	if e.opts.StoreDir == "" {
 		return "", fmt.Errorf("experiments: Spill(%q) without Options.StoreDir", p.Name)
 	}
 	e.mu.Lock()
@@ -324,11 +310,11 @@ func (e *Env) buildSpill(p workload.Profile) (string, error) {
 	// Build into a unique sibling temp directory and rename into place,
 	// so a crashed or raced build never leaves a half-written store
 	// behind the final name (ReadIndex above is the validity gate either
-	// way, even across processes sharing one TraceDir).
-	if err := os.MkdirAll(e.opts.storeDir(), 0o755); err != nil {
+	// way, even across processes sharing one StoreDir).
+	if err := os.MkdirAll(e.opts.StoreDir, 0o755); err != nil {
 		return "", err
 	}
-	tmp, err := os.MkdirTemp(e.opts.storeDir(), filepath.Base(dir)+".tmp-")
+	tmp, err := os.MkdirTemp(e.opts.StoreDir, filepath.Base(dir)+".tmp-")
 	if err != nil {
 		return "", err
 	}
@@ -338,7 +324,7 @@ func (e *Env) buildSpill(p workload.Profile) (string, error) {
 		os.RemoveAll(tmp)
 		return "", err
 	}
-	// A concurrent process racing on the same TraceDir may have completed
+	// A concurrent process racing on the same StoreDir may have completed
 	// an identical build while ours ran; prefer the store already in
 	// place — it may be mid-replay by that process, and deleting it out
 	// from under an open StoreReader would fail its next chunk open.
@@ -370,7 +356,7 @@ func (e *Env) buildSpill(p workload.Profile) (string, error) {
 // otherwise. It is the streaming access path every trace-based driver
 // uses; results are identical either way.
 func (e *Env) EachRecord(p workload.Profile, fn func(trace.Record)) error {
-	if e.opts.storeDir() == "" {
+	if e.opts.StoreDir == "" {
 		s, err := e.Stream(p)
 		if err != nil {
 			return err
@@ -490,7 +476,7 @@ func (s envSource) Open(ctx context.Context) (trace.Iterator, sim.SourceInfo, er
 	if s.p.Name == "" {
 		return nil, sim.SourceInfo{}, fmt.Errorf("experiments: %s source has no workload (apply a workload axis before resolving sources)", s.kind)
 	}
-	if s.e.opts.storeDir() != "" {
+	if s.e.opts.StoreDir != "" {
 		dir, err := s.e.Spill(s.p)
 		if err != nil {
 			return nil, sim.SourceInfo{}, err

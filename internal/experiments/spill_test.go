@@ -13,11 +13,11 @@ import (
 // trace-based artifact has signal, small enough to spill and replay
 // several times in a unit test. The chunk size is tiny so replays cross
 // many shard boundaries.
-func spillScale(traceDir string) Options {
+func spillScale(storeDir string) Options {
 	opts := QuickOptions()
 	opts.WarmupInstrs = 60_000
 	opts.MeasureInstrs = 30_000
-	opts.TraceDir = traceDir
+	opts.StoreDir = storeDir
 	opts.TraceChunkRecords = 1 << 13
 	return opts
 }
@@ -28,7 +28,7 @@ func spillScale(traceDir string) Options {
 func TestSpillByteIdenticalArtifacts(t *testing.T) {
 	spillOpts := spillScale(t.TempDir())
 	memOpts := spillOpts
-	memOpts.TraceDir = ""
+	memOpts.StoreDir = ""
 
 	memEnv := NewEnv(memOpts)
 	spillEnv := NewEnv(spillOpts)
@@ -49,7 +49,7 @@ func TestSpillByteIdenticalArtifacts(t *testing.T) {
 }
 
 // TestSpillStoreReuse asserts the store is collected once and replayed:
-// a second environment pointed at the same TraceDir must reuse the
+// a second environment pointed at the same StoreDir must reuse the
 // existing store rather than regenerate it.
 func TestSpillStoreReuse(t *testing.T) {
 	dir := t.TempDir()

@@ -43,13 +43,6 @@ type Job struct {
 	// all. A source that cannot supply WarmupInstrs+MeasureInstrs records
 	// is a hard error — never a silently short run.
 	From Source
-	// Source, when non-nil, supplies the retire-order stream as an
-	// already-open iterator. The iterator must be private to the job and
-	// is not closed by RunJob.
-	//
-	// Deprecated: use From with StoreSource/SliceSource/OpenerSource,
-	// which carry source metadata and manage the iterator's lifetime.
-	Source trace.Iterator
 	// Engine is the declarative spec of the job's prefetch engine: a
 	// registry name plus parameters, resolved into a fresh private
 	// instance through the prefetch registry when the job runs.
@@ -158,9 +151,6 @@ func checkLanes(jobs []Job, engines []prefetch.Prefetcher) ([]Job, error) {
 		if engines[i] == nil {
 			return nil, fmt.Errorf("sim: job for %q has no prefetch engine", j.Workload.Name)
 		}
-		if j.From != nil && j.Source != nil {
-			return nil, fmt.Errorf("sim: job for %q sets both From and the deprecated Source iterator", j.Workload.Name)
-		}
 		if ls, ok := j.From.(*liveSource); ok {
 			// A live source carries the full profile, so a job that
 			// names no workload adopts it (front-end seed included)
@@ -193,8 +183,6 @@ func laneMismatch(lead, j Job) string {
 		return "Program"
 	case !sameValue(j.From, lead.From):
 		return "From"
-	case !sameValue(j.Source, lead.Source):
-		return "Source"
 	case b.System.Predictor != a.System.Predictor:
 		return "Config.System.Predictor"
 	case b.System.MaxWrongPathBlocks != a.System.MaxWrongPathBlocks:
@@ -227,11 +215,6 @@ func runLanes(ctx context.Context, jobs []Job, engines []prefetch.Prefetcher) ([
 		ctx = context.Background()
 	}
 	lead := jobs[0]
-	if lead.Source != nil {
-		// Deprecated pre-opened iterator path: the caller owns the
-		// iterator's lifetime.
-		return replayJob(ctx, jobs, engines, lead.Source)
-	}
 	if lead.From == nil {
 		return liveJob(ctx, jobs, engines)
 	}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/prefetch"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -246,7 +245,6 @@ func TestLaneMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := trace.Stream{}
 	for _, tc := range []struct {
 		field string
 		edit  func(j *Job)
@@ -255,7 +253,6 @@ func TestLaneMismatchRejected(t *testing.T) {
 		{"Workload", func(j *Job) { j.Workload.Seed++ }},
 		{"Program", func(j *Job) { j.Program = prog }},
 		{"From", func(j *Job) { j.From = LiveSource(wl) }},
-		{"Source", func(j *Job) { j.Source = stream.Iter() }},
 		{"Config.System.Predictor", func(j *Job) { j.Config.System.Predictor.BTBEntries *= 2 }},
 		{"Config.System.MaxWrongPathBlocks", func(j *Job) { j.Config.System.MaxWrongPathBlocks++ }},
 		{"Config.WarmupInstrs", func(j *Job) { j.Config.WarmupInstrs++ }},

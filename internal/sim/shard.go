@@ -2,8 +2,9 @@
 // K contiguous windows that replay in parallel, and stitching the
 // per-window results back into one whole-run Result. The split and merge
 // rules live here, next to the simulator state they reason about; the
-// parallel driver is runner.ShardedReplay (the runner owns backends).
-// See DESIGN.md §10 for the stitching-rule derivation.
+// one driver that runs shards is sweep.Run, which plans a sharded cell
+// into shard jobs beside the grid's other jobs (pifsim -shards K is a
+// one-cell sweep). See DESIGN.md §10 for the stitching-rule derivation.
 
 package sim
 

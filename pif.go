@@ -18,8 +18,8 @@
 //     constructors (NewPIF, NewTIFS, NewNextLine, NoPrefetch) for
 //     programmatic use;
 //   - a Backend names where jobs run: the in-process LocalBackend today,
-//     any Submit/Results/Close implementation tomorrow (RunJobsOn, Pool,
-//     ExperimentOptions.Backend).
+//     any Submit/Results/Close implementation tomorrow (Pool,
+//     SweepPoolEngine.Backend, ExperimentOptions.Backend).
 //
 // The package re-exports the pieces a downstream user needs:
 //
@@ -31,7 +31,7 @@
 //     (CreateTraceStore, OpenTraceStore, OpenTraceSlice, BuildTraceStore);
 //   - the execution layer fanning simulation jobs out with
 //     deterministic, submission-ordered results (Job, RunJobs, Backend,
-//     LocalBackend, RunJobsOn);
+//     LocalBackend);
 //   - the declarative design-space sweep engine (SweepSpec, RunSweep,
 //     BuildSweepSpec) and the experiment drivers regenerating every
 //     table and figure of the paper's evaluation (RunExperiment,
@@ -136,10 +136,6 @@ func EngineSchemas() []EngineSchema { return prefetch.Schemas() }
 // "name:k=v,k=v" (K/M suffixes are 1024 multiples for integer params)
 // and validates it against the engine's schema.
 func ParseEngineSpec(s string) (EngineSpec, error) { return prefetch.ParseSpec(s) }
-
-// ValidateEngineSpec checks a spec against its engine's schema without
-// constructing the engine.
-func ValidateEngineSpec(spec EngineSpec) error { return prefetch.Validate(spec) }
 
 // NewPrefetcherFromSpec resolves a spec into a fresh engine instance:
 // schema defaults are applied, explicit params validated, and derived
@@ -320,21 +316,6 @@ func SimulateSource(cfg SimConfig, w Workload, src Source, p Prefetcher) (SimRes
 	}, p)
 }
 
-// SimulateTrace replays a recorded retire-order stream through the
-// simulator instead of executing the workload; w supplies the name and
-// front-end seed. The source must hold at least warmup+measure records.
-//
-// Deprecated: use SimulateSource with StoreSource/SliceSource (or
-// IteratorSource around a custom iterator), which validate source
-// metadata and manage the iterator's lifetime.
-func SimulateTrace(cfg SimConfig, w Workload, src TraceIterator, p Prefetcher) (SimResult, error) {
-	return sim.RunWith(context.Background(), sim.Job{
-		Config:   cfg,
-		Workload: w,
-		Source:   src,
-	}, p)
-}
-
 // System is the simulated machine description (the paper's Table I).
 type System = config.System
 
@@ -370,7 +351,7 @@ type JobProgress = runner.Progress
 // Pool fans simulation jobs out over a bounded worker pool with context
 // cancellation and progress callbacks; results come back in submission
 // order, so rendered tables are byte-identical to serial runs. It is the
-// one-shot convenience front door over Backend/RunJobsOn.
+// one-shot convenience front door over a Backend.
 type Pool = runner.Pool
 
 // RunJobs executes jobs over a pool of the given width (<= 0 means
@@ -435,50 +416,6 @@ func DialBackendAuth(spec string, workers int, token string) (Backend, error) {
 	default:
 		return nil, fmt.Errorf("pif: unknown backend %q (have local, remote@ADDR)", spec)
 	}
-}
-
-// JobProgressFunc receives one serialized callback per finished job.
-type JobProgressFunc = func(JobProgress)
-
-// RunJobsOn drives one batch of jobs through any backend: submission
-// while collecting, serialized progress callbacks, results in
-// submission order, cancellation via ctx. It does not Close the backend.
-func RunJobsOn(ctx context.Context, b Backend, jobs []Job, onProgress JobProgressFunc) ([]JobResult, error) {
-	return runner.RunOn(ctx, b, jobs, onProgress)
-}
-
-// ShardPlan is one shard of a sharded single-trace replay: the store
-// window it reads plus its warmup/measure split.
-type ShardPlan = sim.ShardPlan
-
-// PlanShardedReplay tiles cfg's measured interval into shard plans
-// (exact = full-prefix warmup for lossless counter stitching; otherwise
-// fixed-length warmup with linear total work).
-func PlanShardedReplay(cfg SimConfig, shards int, exact bool) ([]ShardPlan, error) {
-	return sim.SplitReplay(cfg, shards, exact)
-}
-
-// MergeShardResults stitches per-shard results (in shard order) into one
-// whole-run result: event counters sum losslessly, FE statistics come
-// from the last shard, and timing is recomputed within tolerance. See
-// DESIGN.md §10 for the stitching rules.
-func MergeShardResults(shards []SimResult) (SimResult, error) {
-	return sim.MergeShardResults(shards)
-}
-
-// ShardedReplayOptions configures a window-sharded parallel replay of
-// one recorded trace store.
-type ShardedReplayOptions = runner.ShardedOptions
-
-// ShardedReplayResult is the stitched outcome plus the per-shard results
-// and plans.
-type ShardedReplayResult = runner.ShardedResult
-
-// ShardedReplay splits one trace store's measured interval into parallel
-// windows, replays each as its own job, and stitches the results —
-// parallel simulation of a single trace on one machine or any Backend.
-func ShardedReplay(ctx context.Context, opt ShardedReplayOptions) (ShardedReplayResult, error) {
-	return runner.ShardedReplay(ctx, opt)
 }
 
 // ExperimentOptions scale the evaluation harness.

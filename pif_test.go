@@ -1,7 +1,6 @@
 package pif
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
@@ -242,7 +241,7 @@ func TestSourceBackendPublicAPI(t *testing.T) {
 		{Label: "live", Workload: wl, Config: cfg, Engine: EngineSpec{Name: "tifs"}},
 		{Label: "slice", Workload: wl, Config: cfg, Engine: EngineSpec{Name: "tifs"}, Source: SliceSource(dir, w)},
 	}
-	results, err := RunJobsOn(context.Background(), b, jobs, nil)
+	results, err := SweepPoolEngine{Backend: b}.RunJobs(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
