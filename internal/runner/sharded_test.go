@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
@@ -31,6 +32,51 @@ func recordShardStore(t testing.TB, dir string, wl workload.Profile, cfg sim.Con
 	}
 }
 
+// runShards replays the store at dir as the shard jobs sim.SplitReplay
+// plans — one job per plan, each reading its window of the store —
+// executes them on a parallel pool, and merges the per-shard results in
+// shard order. It is the shard path sweep.Run takes for a sharded cell,
+// reduced to the runner's part: parallel execution of window jobs.
+func runShards(t *testing.T, dir string, wl workload.Profile, cfg sim.Config, engine string, shards int, exact bool) sim.Result {
+	t.Helper()
+	plans, err := sim.SplitReplay(cfg, shards, exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plans) != shards {
+		t.Fatalf("%d shards: got %d plans", shards, len(plans))
+	}
+	jobs := make([]Job, len(plans))
+	for k, p := range plans {
+		jobs[k] = Job{
+			Label:    fmt.Sprintf("%s [shard %d/%d]", wl.Name, k+1, shards),
+			Workload: wl,
+			Config:   p.Config(cfg),
+			Engine:   prefetch.Spec{Name: engine},
+			Source:   sim.SliceSource(dir, p.Window),
+		}
+	}
+	results, err := Run(context.Background(), jobs, 4)
+	if err != nil {
+		t.Fatalf("%d shards: %v", shards, err)
+	}
+	per := make([]sim.Result, len(results))
+	for k, r := range results {
+		if r.Err != nil {
+			t.Fatalf("%d shards: shard %d: %v", shards, k, r.Err)
+		}
+		if r.Index != k {
+			t.Fatalf("%d shards: result %d carries index %d", shards, k, r.Index)
+		}
+		per[k] = r.Sim
+	}
+	m, err := sim.MergeShardResults(per)
+	if err != nil {
+		t.Fatalf("%d shards: merge: %v", shards, err)
+	}
+	return m
+}
+
 // withinPct reports whether got is within pct percent of want.
 func withinPct(got, want uint64, pct float64) bool {
 	if want == 0 {
@@ -40,14 +86,14 @@ func withinPct(got, want uint64, pct float64) bool {
 	return diff/float64(want)*100 <= pct
 }
 
-// TestShardedReplayExactParity is the sharded-replay acceptance bar: an
-// exact-mode sharded replay of one store on 4+ parallel workers must
-// reproduce the sequential replay bit for bit — every counter,
-// instruction, access, miss, coverage, L1 field, the whole-feed FE
-// stats, AND timing (cycles, stalls, UIPC), since exact shards measure
-// clock deltas on the sequential run's own clock (see
-// sim.Config.MeasureOffsetInstrs). CI runs this under -race, making it
-// the data-race probe for the parallel shard path.
+// TestShardedReplayExactParity is the sharded-replay acceptance bar at
+// the runner level: exact-mode shard jobs of one store, run on 4
+// parallel workers and merged, must reproduce the sequential replay bit
+// for bit — every counter, instruction, access, miss, coverage, L1
+// field, the whole-feed FE stats, AND timing (cycles, stalls, UIPC),
+// since exact shards measure clock deltas on the sequential run's own
+// clock (see sim.Config.MeasureOffsetInstrs). CI runs this under -race,
+// making it the data-race probe for parallel window jobs on the pool.
 func TestShardedReplayExactParity(t *testing.T) {
 	wl := workload.OLTPXL()
 	cfg := testConfig() // 100K warmup + 100K measure
@@ -65,21 +111,7 @@ func TestShardedReplayExactParity(t *testing.T) {
 	}
 
 	for _, shards := range []int{4, 7} {
-		got, err := ShardedReplay(context.Background(), ShardedOptions{
-			Dir:      dir,
-			Workload: wl,
-			Config:   cfg,
-			Shards:   shards,
-			Exact:    true,
-			Engine:   prefetch.Spec{Name: "pif"},
-		})
-		if err != nil {
-			t.Fatalf("%d shards: %v", shards, err)
-		}
-		if len(got.Shards) != shards || len(got.Plans) != shards {
-			t.Fatalf("%d shards: got %d results, %d plans", shards, len(got.Shards), len(got.Plans))
-		}
-		m := got.Merged
+		m := runShards(t, dir, wl, cfg, "pif", shards, true)
 
 		// Lossless counters: exact equality.
 		if m.Instructions != seq.Instructions {
@@ -145,17 +177,7 @@ func TestShardedReplayApproximate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential replay: %v", err)
 	}
-	got, err := ShardedReplay(context.Background(), ShardedOptions{
-		Dir:      dir,
-		Workload: wl,
-		Config:   cfg,
-		Shards:   4,
-		Engine:   prefetch.Spec{Name: "nextline"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := got.Merged
+	m := runShards(t, dir, wl, cfg, "nextline", 4, false)
 	if m.Instructions != seq.Instructions {
 		t.Errorf("Instructions = %d, want %d (the measured span tiles exactly even in approximate mode)",
 			m.Instructions, seq.Instructions)
@@ -168,62 +190,5 @@ func TestShardedReplayApproximate(t *testing.T) {
 	}
 	if !withinPct(m.Cycles, seq.Cycles, tolPct) {
 		t.Errorf("Cycles = %d, want %d ±%d%%", m.Cycles, seq.Cycles, tolPct)
-	}
-}
-
-// TestSplitReplayPlans pins the split geometry: contiguous tiling of the
-// measured interval, remainder to the earliest shards, full-prefix vs
-// fixed-prefix warmup windows.
-func TestSplitReplayPlans(t *testing.T) {
-	cfg := sim.Config{WarmupInstrs: 1000, MeasureInstrs: 10_003}
-	exact, err := sim.SplitReplay(cfg, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := sim.SplitReplay(cfg, 4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var start, total uint64 = cfg.WarmupInstrs, 0
-	for k := range exact {
-		e, a := exact[k], approx[k]
-		if e.MeasureInstrs != a.MeasureInstrs {
-			t.Fatalf("shard %d: measure differs between modes: %d vs %d", k, e.MeasureInstrs, a.MeasureInstrs)
-		}
-		total += e.MeasureInstrs
-		if e.Window.Off != 0 || e.WarmupInstrs != cfg.WarmupInstrs ||
-			e.MeasureOffsetInstrs != start-cfg.WarmupInstrs || e.Window.Len != start+e.MeasureInstrs {
-			t.Errorf("shard %d exact: window %s warmup %d offset %d (span start %d)",
-				k, e.Window, e.WarmupInstrs, e.MeasureOffsetInstrs, start)
-		}
-		if a.MeasureOffsetInstrs != 0 {
-			t.Errorf("shard %d approx: offset %d, want 0", k, a.MeasureOffsetInstrs)
-		}
-		if a.WarmupInstrs != cfg.WarmupInstrs || a.Window.Off != start-cfg.WarmupInstrs ||
-			a.Window.Len != cfg.WarmupInstrs+a.MeasureInstrs {
-			t.Errorf("shard %d approx: window %s warmup %d (span start %d)", k, a.Window, a.WarmupInstrs, start)
-		}
-		start += e.MeasureInstrs
-	}
-	if total != cfg.MeasureInstrs {
-		t.Errorf("shard spans sum to %d, want %d", total, cfg.MeasureInstrs)
-	}
-	// Remainder goes to the earliest shards: 10_003 over 4 = {2501, 2501, 2501, 2500}.
-	want := []uint64{2501, 2501, 2501, 2500}
-	for k, w := range want {
-		if exact[k].MeasureInstrs != w {
-			t.Errorf("shard %d measure = %d, want %d", k, exact[k].MeasureInstrs, w)
-		}
-	}
-
-	// Degenerate requests fail loudly.
-	if _, err := sim.SplitReplay(cfg, 0, true); err == nil {
-		t.Error("0 shards accepted")
-	}
-	if _, err := sim.SplitReplay(sim.Config{MeasureInstrs: 2}, 3, true); err == nil {
-		t.Error("more shards than measured records accepted")
-	}
-	if _, err := sim.SplitReplay(sim.Config{}, 1, true); err == nil {
-		t.Error("zero measure accepted")
 	}
 }
