@@ -273,19 +273,26 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 	probe.Close()
 
 	a := Artifact{Schema: SchemaVersion, Config: cfg, GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	// repeats > 1 takes the fastest of that many benchmark runs; the
-	// decode rows finish in about a second each and feed thin-margin
-	// derived ratios (MmapSpeedup's floor is 0.95x), so best-of-N is cheap
-	// insurance against scheduler noise there. The replay and sweep rows
-	// are far slower and feed wide-margin ratios, so they run once.
-	run := func(name string, perOpRecords uint64, perOpBytes int64, parallelism, repeats int, body func(b *testing.B)) Measurement {
-		logf("benchmark %s...", name)
-		r := testing.Benchmark(body)
-		for i := 1; i < repeats; i++ {
-			if r2 := testing.Benchmark(body); r2.NsPerOp() < r.NsPerOp() {
-				r = r2
+	// best benchmarks every body repeats times, round-robin (a, b, a,
+	// b, ...), and returns the fastest run of each. The decode rows finish
+	// in about a second each and feed the thin-margin floors on
+	// BatchSpeedup and MmapSpeedup (0.95x), so best-of-N is cheap
+	// insurance against scheduler noise there; interleaving the rows of
+	// one ratio makes them sample the same phases of the host, so a slow
+	// phase cannot land on one row only. The replay and sweep rows are far
+	// slower and feed wide-margin ratios, so they run once.
+	best := func(repeats int, bodies ...func(b *testing.B)) []testing.BenchmarkResult {
+		rs := make([]testing.BenchmarkResult, len(bodies))
+		for i := 0; i < repeats; i++ {
+			for k, body := range bodies {
+				if r := testing.Benchmark(body); i == 0 || r.NsPerOp() < rs[k].NsPerOp() {
+					rs[k] = r
+				}
 			}
 		}
+		return rs
+	}
+	record := func(name string, perOpRecords uint64, perOpBytes int64, parallelism int, r testing.BenchmarkResult) Measurement {
 		m := Measurement{
 			Name:        name,
 			NsPerOp:     float64(r.NsPerOp()),
@@ -301,6 +308,10 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 		}
 		a.Benchmarks = append(a.Benchmarks, m)
 		return m
+	}
+	run := func(name string, perOpRecords uint64, perOpBytes int64, parallelism int, body func(b *testing.B)) Measurement {
+		logf("benchmark %s...", name)
+		return record(name, perOpRecords, perOpBytes, parallelism, best(1, body)[0])
 	}
 	// The parallelism a pool of the fixture's shard width actually gets.
 	shardPar := min(cfg.Shards, runtime.GOMAXPROCS(0))
@@ -325,29 +336,26 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 		}
 		r.Close()
 	}
-	perRecord := run("store_decode/per_record", records, storeBytes, 0, 5, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			drainStore(b, trace.ChunkSourceReadFile, nil)
+	drain := func(mode trace.ChunkSourceMode, batched bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			var buf []trace.Record
+			if batched {
+				buf = make([]trace.Record, cfg.BatchRecords)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				drainStore(b, mode, buf)
+			}
 		}
-	})
-	batch := run("store_decode/batch", records, storeBytes, 0, 5, func(b *testing.B) {
-		buf := make([]trace.Record, cfg.BatchRecords)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			drainStore(b, trace.ChunkSourceReadFile, buf)
-		}
-	})
-	mmapBatch := run("store_decode/mmap", records, storeBytes, 0, 5, func(b *testing.B) {
-		buf := make([]trace.Record, cfg.BatchRecords)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			drainStore(b, trace.ChunkSourceAuto, buf)
-		}
-	})
+	}
+	logf("benchmark store_decode/per_record, batch and mmap, interleaved...")
+	decode := best(5, drain(trace.ChunkSourceReadFile, false), drain(trace.ChunkSourceReadFile, true), drain(trace.ChunkSourceAuto, true))
+	perRecord := record("store_decode/per_record", records, storeBytes, 0, decode[0])
+	batch := record("store_decode/batch", records, storeBytes, 0, decode[1])
+	mmapBatch := record("store_decode/mmap", records, storeBytes, 0, decode[2])
 
 	engine := prefetch.Spec{Name: "nextline", Params: map[string]float64{"degree": 4}}
-	run("sim_replay/store", records, storeBytes, 1, 1, func(b *testing.B) {
+	run("sim_replay/store", records, storeBytes, 1, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := sim.RunJob(context.Background(), sim.Job{
@@ -381,7 +389,7 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 	}
 	runCell := func(name string, shards, parallelism int) Measurement {
 		spec := cellSpec(shards)
-		return run(name, records, 0, parallelism, 1, func(b *testing.B) {
+		return run(name, records, 0, parallelism, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				g, err := sweep.Run(sweep.PoolEngine{Workers: cfg.Shards}, spec)
@@ -412,7 +420,7 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 		return Artifact{}, err
 	}
 	cells := uint64(len(grid.Cells))
-	run("sweep_expand/cell", cells, 0, 0, 1, func(b *testing.B) {
+	run("sweep_expand/cell", cells, 0, 0, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := spec.Expand(); err != nil {

@@ -66,7 +66,10 @@ type Options struct {
 	// environment through the given runner.Backend instead of a private
 	// in-process pool (runs are serialized; results are identical for
 	// every backend). Nil selects a fresh LocalBackend per grid, sized
-	// by Parallel.
+	// by Parallel. Jobs reach a supplied backend without program images:
+	// it builds them where the jobs run. The CLIs and the experiment
+	// service set only remote backends here, whose workers cache one
+	// image per workload.
 	Backend runner.Backend
 	// StoreDir, when non-empty, is the environment's trace-store pool:
 	// each workload's generated retire-order stream is spilled to a
@@ -148,10 +151,11 @@ type Env struct {
 	opts Options
 	ctx  context.Context
 
-	mu       sync.Mutex
-	programs map[string]*memo[*workload.Program]
-	streams  map[string]*memo[trace.Stream]
-	spills   map[string]*memo[string] // workload name -> store directory
+	programs workload.Programs
+
+	mu      sync.Mutex
+	streams map[string]*memo[trace.Stream]
+	spills  map[string]*memo[string] // workload name -> store directory
 
 	// backendMu serializes grid runs through a shared Options.Backend
 	// (backends serve one run at a time).
@@ -182,12 +186,11 @@ func NewEnvContext(ctx context.Context, opts Options) *Env {
 		ctx = context.Background()
 	}
 	return &Env{
-		opts:     opts,
-		ctx:      ctx,
-		programs: make(map[string]*memo[*workload.Program]),
-		streams:  make(map[string]*memo[trace.Stream]),
-		spills:   make(map[string]*memo[string]),
-		jobIdx:   make(map[string]int),
+		opts:    opts,
+		ctx:     ctx,
+		streams: make(map[string]*memo[trace.Stream]),
+		spills:  make(map[string]*memo[string]),
+		jobIdx:  make(map[string]int),
 	}
 }
 
@@ -203,15 +206,7 @@ func (e *Env) Parallel() int { return runner.Workers(e.opts.Parallel) }
 // Program returns the (cached) program image for a workload. Images are
 // immutable after construction and may be shared by concurrent jobs.
 func (e *Env) Program(p workload.Profile) (*workload.Program, error) {
-	e.mu.Lock()
-	m, ok := e.programs[p.Name]
-	if !ok {
-		m = &memo[*workload.Program]{}
-		e.programs[p.Name] = m
-	}
-	e.mu.Unlock()
-	m.once.Do(func() { m.val, m.err = workload.BuildProgram(p) })
-	return m.val, m.err
+	return e.programs.Get(p)
 }
 
 // Stream returns the (cached) retire-order stream covering warmup plus
@@ -403,10 +398,19 @@ func (e *Env) openSpilled(p workload.Profile) (*trace.StoreReader, error) {
 }
 
 // RunJobs executes simulation jobs through the environment's execution
-// backend (Options.Backend, or a private in-process LocalBackend),
-// attaching the cached program image for each live-executing job's
-// workload, and returns results in submission order.
+// backend (Options.Backend, or a private in-process LocalBackend) and
+// returns results in submission order. Jobs bound for the private pool
+// get the cached program image of each live-executing job's workload;
+// a supplied backend builds images where its jobs run, so none is
+// built here only to be dropped at the wire.
 func (e *Env) RunJobs(jobs []runner.Job) ([]runner.Result, error) {
+	if e.opts.Backend != nil {
+		// A shared backend serves one run at a time (the Backend
+		// contract); concurrent grids in one environment serialize here.
+		e.backendMu.Lock()
+		defer e.backendMu.Unlock()
+		return runner.RunOn(e.ctx, e.opts.Backend, jobs, e.opts.OnProgress)
+	}
 	for i := range jobs {
 		// Replay jobs never touch the program; building (or adopting) an
 		// image for them would only waste cache space.
@@ -417,13 +421,6 @@ func (e *Env) RunJobs(jobs []runner.Job) ([]runner.Result, error) {
 			}
 			jobs[i].Program = prog
 		}
-	}
-	if e.opts.Backend != nil {
-		// A shared backend serves one run at a time (the Backend
-		// contract); concurrent grids in one environment serialize here.
-		e.backendMu.Lock()
-		defer e.backendMu.Unlock()
-		return runner.RunOn(e.ctx, e.opts.Backend, jobs, e.opts.OnProgress)
 	}
 	b := runner.NewLocalBackend(e.opts.Parallel)
 	defer b.Close()

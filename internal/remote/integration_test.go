@@ -42,8 +42,13 @@ func newHarness(t *testing.T, opts CoreOptions) *harness {
 // a cancel that kills it (abandoning in-flight tasks unposted — the
 // same observable state as a SIGKILLed worker process).
 func (h *harness) startWorker(name string, parallel int) context.CancelFunc {
+	return h.runWorker(&Worker{Coord: h.srv.URL, Name: name, Parallel: parallel})
+}
+
+// runWorker runs w against the harness coordinator; the returned cancel
+// kills it like startWorker's.
+func (h *harness) runWorker(w *Worker) context.CancelFunc {
 	ctx, cancel := context.WithCancel(h.ctx)
-	w := &Worker{Coord: h.srv.URL, Name: name, Parallel: parallel}
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()

@@ -136,8 +136,9 @@ func EncodeJob(j runner.Job) (JobSpec, error) {
 		}
 		spec.Lanes = append(spec.Lanes, LaneSpec{Label: l.Label, Config: l.Config, Engine: l.Engine})
 	}
-	// Program images are deterministic functions of the profile; the
-	// worker rebuilds (and caches) them, so j.Program is dropped.
+	// Program images are deterministic functions of the profile, so
+	// j.Program is dropped: a worker builds each workload's image once
+	// and shares it across its tasks (Worker.job).
 	return spec, nil
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/httpapi"
 	"repro/internal/runner"
+	"repro/internal/workload"
 )
 
 // leasePollMS is the long-poll wait a worker requests per lease call.
@@ -39,6 +40,10 @@ type Worker struct {
 
 	hc   *http.Client
 	base string
+
+	// programs holds the program image of every workload this worker
+	// has run live, built once and shared by all its later tasks.
+	programs workload.Programs
 
 	mu       sync.Mutex
 	workerID string
@@ -191,7 +196,7 @@ func (w *Worker) runTask(ctx context.Context, workerID string, lease Lease) {
 		w.mu.Unlock()
 	}()
 	var res runner.Result
-	job, err := lease.Spec.Job()
+	job, err := w.job(lease.Spec)
 	if err != nil {
 		// An undecodable job is a hard, deterministic failure: post it,
 		// re-leasing elsewhere cannot help.
@@ -237,6 +242,20 @@ func (w *Worker) runTask(ctx context.Context, workerID string, lease Lease) {
 			return
 		}
 	}
+}
+
+// job rebuilds a leased task's runner.Job. A live job (one with no
+// record source) gets its workload's program image from the worker's
+// cache, so a worker builds each image once, not once per task. Specs
+// resolve workloads only by registry name, so the cache holds at most
+// one image per registered profile.
+func (w *Worker) job(spec JobSpec) (runner.Job, error) {
+	job, err := spec.Job()
+	if err != nil || job.Source != nil {
+		return job, err
+	}
+	job.Program, err = w.programs.Get(job.Workload)
+	return job, err
 }
 
 // heartbeatLoop extends the worker's leases and cancels tasks the
